@@ -18,7 +18,7 @@ vet:
 tier1: build vet test
 
 race:
-	go test -race . ./internal/popsnet ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
+	go test -race . ./internal/popsnet ./internal/obs ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
 
 # End-to-end serving smoke: start popsserved on an ephemeral port, route a
 # permutation through pops.ServiceClient, and assert the second call is

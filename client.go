@@ -43,9 +43,9 @@ type (
 // ServiceClient is the Go client of a popsserved routing service (see
 // cmd/popsserved and internal/service): plans are requested over HTTP/JSON
 // instead of computed in-process, so many processes can share one warm
-// planner fleet — its shards, micro-batches, and fingerprint plan cache.
-// The zero cost of coalescing happens server-side; the client is a thin,
-// concurrency-safe HTTP wrapper.
+// planner fleet — its shards, admission gates, and fingerprint plan cache.
+// Coalescing happens server-side; the client is a thin, concurrency-safe
+// HTTP wrapper.
 type ServiceClient struct {
 	base  string
 	hc    *http.Client
@@ -349,10 +349,9 @@ func (c *ServiceClient) Route(ctx context.Context, d, g int, pi []int) (*Service
 }
 
 // Execute plans one workload on POPS(d, g) — the wire form of
-// Planner.Execute. Permutation workloads go through the service's
-// micro-batching queue; h-relation, all-to-all and one-to-all workloads are
-// executed directly on the shard's planner, sharing its pooled arenas and
-// plan cache. A workload planning failure is returned as an error.
+// Planner.Execute. Every workload kind passes the shard's admission gate
+// and plans on the shard's planner, sharing its pooled arenas and plan
+// cache. A workload planning failure is returned as an error.
 func (c *ServiceClient) Execute(ctx context.Context, d, g int, w Workload) (*ServicePlan, error) {
 	req, err := workloadRouteRequest(d, g, w)
 	if err != nil {

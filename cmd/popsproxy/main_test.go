@@ -28,7 +28,7 @@ func startBackends(t *testing.T, n int) ([]*httptest.Server, []string) {
 	servers := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		svc := service.New(service.Config{Name: fmt.Sprintf("node-%d", i), BatchDelay: 200 * time.Microsecond})
+		svc := service.New(service.Config{Name: fmt.Sprintf("node-%d", i)})
 		srv := httptest.NewServer(svc.Handler())
 		servers[i], urls[i] = srv, srv.URL
 		t.Cleanup(srv.Close)

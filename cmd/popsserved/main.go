@@ -1,8 +1,10 @@
 // Command popsserved is the long-running POPS routing service: a sharded
 // planner server (internal/service) speaking HTTP/JSON. One planner shard
 // is created lazily per requested POPS(d, g) shape (LRU-bounded), each
-// shard micro-batches concurrent requests onto the batch planner, and a
-// fingerprint plan cache answers recurring permutations without replanning.
+// shard admits requests through one gate of planning slots (-parallelism)
+// with a bounded wait (-queue-depth) and coalesces identical in-flight
+// permutations, and a fingerprint plan cache answers recurring permutations
+// without replanning.
 //
 // POST /route/stream streams a plan's slots as NDJSON chunks: the first
 // slot records are flushed while later color classes of the factorization
@@ -13,14 +15,14 @@
 // Endpoints: POST /route, POST /route/stream, GET /slots, GET /stats,
 // GET /healthz — see internal/wire for the JSON schema and
 // pops.ServiceClient for the Go client. SIGINT/SIGTERM trigger graceful
-// shutdown: the listener stops, and in-flight micro-batches AND open slot
+// shutdown: the listener stops, and admitted requests AND open slot
 // streams drain before the process exits (connections are force-closed if
 // they outlive -drain-timeout, so a wedged stream cannot hold the process
 // open forever — cluster rolling restarts rely on this bound).
 //
 // Usage:
 //
-//	popsserved -addr :8714 -batch 32 -batch-delay 1ms -cache 1024 -max-shards 64
+//	popsserved -addr :8714 -queue-depth 1024 -cache 1024 -max-shards 64
 //	curl -s localhost:8714/route -d '{"d":8,"g":8,"pi":[63,62,...,0]}'
 //	curl -sN localhost:8714/route/stream -d '{"d":8,"g":8,"pi":[63,62,...,0]}'
 //	curl -s 'localhost:8714/slots?d=8&g=8'
@@ -105,17 +107,14 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 	var (
 		addr       = fs.String("addr", ":8714", "listen address")
 		name       = fs.String("name", "", "node identity reported in /stats (default: the listen address)")
-		batch      = fs.Int("batch", 32, "micro-batch flush size per shard")
-		batchDelay = fs.Duration("batch-delay", time.Millisecond, "micro-batch flush deadline")
 		cache      = fs.Int("cache", 1024, "per-shard plan cache entries (0 disables)")
 		maxShards  = fs.Int("max-shards", 64, "live planner shards (LRU bound)")
-		par        = fs.Int("parallelism", 0, "workers per shard batch (0 = GOMAXPROCS)")
+		par        = fs.Int("parallelism", 0, "planning slots per shard (0 = GOMAXPROCS)")
 		verify     = fs.Bool("verify", false, "replay every schedule on the simulator before serving it")
 		slow       = fs.Int("slow", 64, "slowest traced requests retained for GET /debug/slow")
 		debugAddr  = fs.String("debug-addr", "", "optional second listener serving net/http/pprof and /metrics")
-		queueDepth = fs.Int("queue-depth", 0, "admission queue bound per shard; excess sheds with 429 (0 = 32x batch)")
+		queueDepth = fs.Int("queue-depth", 0, "requests that may wait for a planning slot per shard; excess sheds with 429 (0 = 1024)")
 		maxStreams = fs.Int("max-streams", 64, "concurrently open slot streams per shard (negative = uncapped)")
-		maxDirect  = fs.Int("max-direct", 0, "concurrent direct-path requests per shard (0 = uncapped)")
 		tenants    = fs.String("tenant-weights", "", "weighted-fair admission shares, e.g. gold=9,free=1 (unlisted tenants weigh 1)")
 		drainWait  time.Duration
 	)
@@ -156,14 +155,11 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 	svc := service.New(service.Config{
 		Name:           nodeName,
 		MaxShards:      *maxShards,
-		BatchSize:      *batch,
-		BatchDelay:     *batchDelay,
 		CacheSize:      cacheSize,
 		PlannerOptions: opts,
 		SlowRequests:   *slow,
 		QueueDepth:     *queueDepth,
 		MaxStreams:     *maxStreams,
-		MaxDirect:      *maxDirect,
 		TenantWeights:  weights,
 	})
 	srv := &http.Server{Handler: svc.Handler()}
@@ -177,8 +173,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 		fmt.Fprintf(stdout, "popsserved: debug listener (pprof, /metrics) on %s\n", dln.Addr())
 		go func() { _ = http.Serve(dln, debugHandler(svc.Metrics())) }()
 	}
-	fmt.Fprintf(stdout, "popsserved: listening on %s (batch=%d delay=%s cache=%d shards≤%d)\n",
-		ln.Addr(), *batch, *batchDelay, *cache, *maxShards)
+	fmt.Fprintf(stdout, "popsserved: listening on %s (cache=%d shards≤%d)\n",
+		ln.Addr(), *cache, *maxShards)
 	if ready != nil {
 		ready <- ln.Addr()
 	}
@@ -193,9 +189,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: stop accepting and let open connections — batch
+	// Graceful shutdown: stop accepting and let open connections — unary
 	// requests and slot streams alike — finish, then drain the shards'
-	// in-flight micro-batches and streams. If a connection outlives the
+	// admitted requests and streams. If a connection outlives the
 	// drain deadline (e.g. a stream consumer that stopped reading), it is
 	// force-closed so svc.Close cannot block on its stream forever.
 	fmt.Fprintln(stdout, "popsserved: shutting down")

@@ -31,7 +31,7 @@ func TestServeSmoke(t *testing.T) {
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-batch-delay", "200us"}, testWriter{t}, ready)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, testWriter{t}, ready)
 	}()
 	var addr net.Addr
 	select {
@@ -497,7 +497,7 @@ func TestServeSmokeStreamHRelation(t *testing.T) {
 // TestGracefulDrainFinishesStreams opens a slot stream, consumes only its
 // first record, signals shutdown, and then asserts every remaining slot —
 // and the done record — still arrives before the server exits: graceful
-// drain must finish in-flight streams, not just micro-batches.
+// drain must finish in-flight streams, not just unary requests.
 func TestGracefulDrainFinishesStreams(t *testing.T) {
 	addr, cancel, done := startServer(t)
 	client := pops.NewServiceClient("http://"+addr.String(), nil)
@@ -590,7 +590,7 @@ func TestDrainTimeoutBoundsWedgedConnection(t *testing.T) {
 // TestRunRejectsBadFlags pins flag-parse failures to an error, not an
 // os.Exit deep in the run path.
 func TestRunRejectsBadFlags(t *testing.T) {
-	err := run(context.Background(), []string{"-batch", "x"}, testWriter{t}, nil)
+	err := run(context.Background(), []string{"-cache", "x"}, testWriter{t}, nil)
 	if err == nil {
 		t.Fatal("bad flags accepted")
 	}
@@ -619,7 +619,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 // off /stats, and assert a dead-group request comes back as a typed
 // *pops.UnroutableError across the wire.
 func TestFaultSmoke(t *testing.T) {
-	addr, cancel, done := startServer(t, "-batch-delay", "200us")
+	addr, cancel, done := startServer(t)
 	ctx := context.Background()
 	client := pops.NewServiceClient("http://"+addr.String(), nil)
 

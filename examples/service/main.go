@@ -4,7 +4,7 @@
 // sweep, a repeated mesh-shift permutation answered by the fingerprint plan
 // cache, and a slot stream whose first records arrive while the server is
 // still factorizing. The final /stats snapshot shows the shard registry,
-// the micro-batch coalescing, the cache hit counter, and the
+// the admission gate's planner invocations, the cache hit counter, and the
 // time-to-first-slot histogram at work.
 package main
 
@@ -22,7 +22,7 @@ import (
 func main() {
 	// In production this is `popsserved -addr :8714`; here the service runs
 	// in-process so the example is self-contained.
-	svc := service.New(service.Config{BatchSize: 16})
+	svc := service.New(service.Config{})
 	defer svc.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -54,9 +54,9 @@ func main() {
 			shape.d, shape.g, plan.Slots, slots, plan.Strategy)
 	}
 
-	// A BPC family sweep as one wire batch: the server coalesces it onto
-	// the planner's RouteBatch, so the arena-backed coloring engine is
-	// amortized across the whole family.
+	// A BPC family sweep as one wire batch: each entry passes the shard's
+	// admission gate and plans on a pooled worker, so the arena-backed
+	// coloring engine is reused across the whole family.
 	const bits = 6 // n = 64 on POPS(8,8)
 	var pis [][]int
 	for b := 0; b < bits; b++ {
@@ -158,7 +158,7 @@ func main() {
 	fmt.Printf("\n/stats: %d shards, %d requests (%d streamed), cache %d hits / %d misses\n",
 		stats.ShardCount, stats.Requests, stats.Streams, stats.CacheHits, stats.CacheMisses)
 	for _, sh := range stats.Shards {
-		fmt.Printf("  POPS(%2d,%2d): %d requests in %d batches (max batch %d)\n",
+		fmt.Printf("  POPS(%2d,%2d): %d requests in %d planner invocations (largest coalesced group %d)\n",
 			sh.D, sh.G, sh.Requests, sh.Batches, sh.MaxBatch)
 	}
 }

@@ -27,7 +27,7 @@ func BenchmarkOverloadShedding(b *testing.B) {
 		workers int
 		pace    time.Duration
 	}{
-		// Capacity under a 1ms drag is ~BatchSize (4) plans per ms. 1x sits
+		// Capacity under a 1ms drag is ~4 plans per ms (4 planning slots). 1x sits
 		// well under it; 2x near it; 4x (unpaced) far past it.
 		{"load-1x", 2, 2 * time.Millisecond},
 		{"load-2x", 6, time.Millisecond},
@@ -38,8 +38,8 @@ func BenchmarkOverloadShedding(b *testing.B) {
 			drag := &PlanDrag{}
 			drag.Set(time.Millisecond)
 			cfg := service.Config{
-				QueueDepth: 8, BatchSize: 4, BatchDelay: time.Millisecond,
-				PlannerOptions: []pops.Option{pops.WithPlanObserver(drag)},
+				QueueDepth:     8,
+				PlannerOptions: []pops.Option{pops.WithParallelism(4), pops.WithPlanObserver(drag)},
 			}
 			svc := service.New(cfg)
 			srv := httptest.NewServer(svc.Handler())

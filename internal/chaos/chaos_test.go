@@ -14,8 +14,8 @@ import (
 
 // newShedStack builds a service whose planner is throttled by the returned
 // PlanDrag, mounted on an httptest server, with a client pointed at it. The
-// drag makes service capacity a known constant (≈ BatchSize per drag), so
-// ramps can sit deterministically above or below it.
+// drag makes service capacity a known constant (≈ one plan per planning
+// slot per drag), so ramps can sit deterministically above or below it.
 func newShedStack(t *testing.T, cfg service.Config, drag *PlanDrag) (*service.Service, *pops.ServiceClient) {
 	t.Helper()
 	cfg.PlannerOptions = append(cfg.PlannerOptions, pops.WithPlanObserver(drag))
@@ -54,7 +54,7 @@ func TestOverloadShedsDontCollapse(t *testing.T) {
 	drag := &PlanDrag{}
 	drag.Set(time.Millisecond)
 	svc, client := newShedStack(t, service.Config{
-		QueueDepth: 8, BatchSize: 4, BatchDelay: time.Millisecond,
+		QueueDepth: 8, PlannerOptions: []pops.Option{pops.WithParallelism(4)},
 	}, drag)
 
 	// Baseline: 2 workers pacing at 2ms sit well under the ~4 plans/ms
@@ -103,7 +103,7 @@ func TestTenantWeightedFairness(t *testing.T) {
 	drag := &PlanDrag{}
 	drag.Set(time.Millisecond)
 	svc, client := newShedStack(t, service.Config{
-		QueueDepth: 16, BatchSize: 4, BatchDelay: time.Millisecond,
+		QueueDepth: 16, PlannerOptions: []pops.Option{pops.WithParallelism(4)},
 		TenantWeights: map[string]float64{"gold": 9, "free": 1},
 	}, drag)
 

@@ -49,7 +49,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 			for i := range servers {
 				svc := service.New(service.Config{
 					Name:      fmt.Sprintf("bench-%d", i),
-					BatchSize: 1, // sequential driver: flush immediately
 					CacheSize: cachePer,
 				})
 				servers[i] = httptest.NewServer(svc.Handler())

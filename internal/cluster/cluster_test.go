@@ -56,7 +56,7 @@ func fleet(t testing.TB, n int, svcCfg service.Config, proxyCfg Config) (*Proxy,
 // a fingerprint-cache hit — across every workload kind — while distinct
 // workloads spread over more than one backend.
 func TestProxyPlacementAffinity(t *testing.T) {
-	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 3, service.Config{}, Config{})
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -108,7 +108,7 @@ func TestProxyPlacementAffinity(t *testing.T) {
 // subsequent request still succeeds: connection errors eject the node
 // immediately and fail over to the next ring owner.
 func TestProxyFailoverOnBackendDeath(t *testing.T) {
-	p, servers, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, servers, _ := fleet(t, 3, service.Config{}, Config{})
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -194,7 +194,7 @@ func TestProxyHealthEjectionAndReadmission(t *testing.T) {
 // through the proxy must be indistinguishable from one node, and the
 // streamed replay must be a cache hit on the owning node.
 func TestProxyHTTPRouteAndStream(t *testing.T) {
-	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 3, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	client := pops.NewServiceClient(front.URL, nil)
@@ -326,7 +326,7 @@ func TestProxyStreamBackendDeathSurfacesError(t *testing.T) {
 // relayed NDJSON record as its own chunk (the pipelining property), not
 // buffer the backend's plan and forward it whole.
 func TestProxyStreamIsReframedChunkByChunk(t *testing.T) {
-	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 2, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 
@@ -396,7 +396,7 @@ func TestProxyStreamIsReframedChunkByChunk(t *testing.T) {
 // checks GET /stats merges it: counters summed, per-backend identity and
 // cache counters attributed, histograms merged.
 func TestProxyStatsAggregation(t *testing.T) {
-	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 3, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	client := pops.NewServiceClient(front.URL, nil)

@@ -23,7 +23,7 @@ import (
 // binary response frame, /route/stream relays the backend's binary frames,
 // and the fleet-merged GET /stats carries the backends' per-codec ledger.
 func TestProxyBinaryStreamEndToEnd(t *testing.T) {
-	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 2, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	ctx := context.Background()

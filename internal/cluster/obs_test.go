@@ -31,7 +31,7 @@ func proxyRouteBody(t *testing.T, d, g int, pi []int) *bytes.Reader {
 // the client — on /route/stream the 200 path used to overwrite them with a
 // hardcoded content type, dropping the request-ID echo entirely.
 func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
-	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 2, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	const d, g = 4, 8
@@ -86,7 +86,7 @@ func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
 }
 
 func TestProxyMetricsEndpoint(t *testing.T) {
-	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 2, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	const d, g = 4, 8
@@ -136,7 +136,7 @@ func TestProxyMetricsEndpoint(t *testing.T) {
 }
 
 func TestProxyDebugSlowAttributesBackend(t *testing.T) {
-	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 2, service.Config{}, Config{})
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 	const d, g = 4, 8
@@ -181,7 +181,7 @@ func TestProxyDebugSlowAttributesBackend(t *testing.T) {
 }
 
 func TestProxyStatsAggregatesPlanTimes(t *testing.T) {
-	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, _, _ := fleet(t, 3, service.Config{}, Config{})
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -218,7 +218,7 @@ func TestProxyStatsAggregatesPlanTimes(t *testing.T) {
 }
 
 func TestProxyEjectionCounter(t *testing.T) {
-	p, servers, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{FailAfter: 1})
+	p, servers, _ := fleet(t, 2, service.Config{}, Config{FailAfter: 1})
 	ctx := context.Background()
 	const d, g = 4, 8
 

@@ -94,7 +94,8 @@ func pointHash(id string, v int) uint64 {
 // mixed with the POPS shape. Keying on (d, g, fingerprint) makes placement
 // shape- and content-affine — a replayed workload, or a duplicate one in
 // flight, always resolves to the node that already owns its materialized
-// plan (cache hit) or is already planning it (micro-batch coalescing).
+// plan (cache hit) or is already planning it (the shard's admission gate
+// coalesces identical in-flight permutations).
 func placementKey(d, g int, fp uint64) uint64 {
 	return mix64(fp ^ (uint64(uint(d))*0x9e3779b97f4a7c15 + uint64(uint(g))*0xc2b2ae3d27d4eb4f))
 }

@@ -30,8 +30,9 @@ import (
 type Phase uint8
 
 const (
-	// PhaseQueue is the admission-queue wait: from admission until the
-	// micro-batch holding the request was flushed onto the planner.
+	// PhaseQueue is the admission wait: from admission until the request
+	// got a planning slot, or, for a request coalesced onto an identical
+	// one in flight, until that plan was ready.
 	PhaseQueue Phase = iota
 	// PhaseCache is the fingerprint plan-cache lookup (and, on a miss, the
 	// memoization of the freshly planned result).
@@ -228,8 +229,8 @@ func (t *Tracer) Finish(sp *Span) time.Duration {
 
 // Abandon releases a span whose request failed before its result arrived.
 // Unlike Finish it must not touch the span's phase state or recycle it: an
-// in-flight worker the request stopped waiting for (a cancelled wait on a
-// queued micro-batch entry) may still be recording phases. The span is
+// in-flight worker the request stopped waiting for may still be recording
+// phases. The span is
 // leaked to the garbage collector, which the worker's late writes land in
 // harmlessly; only the immutable start time is read for the elapsed total.
 func (t *Tracer) Abandon(sp *Span) time.Duration {

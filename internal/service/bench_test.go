@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"pops"
 )
@@ -36,16 +35,16 @@ func BenchmarkServiceRoute(b *testing.B) {
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		run(b, Config{BatchDelay: 50 * time.Microsecond})
+		run(b, Config{})
 	})
 	b.Run("miss", func(b *testing.B) {
-		run(b, Config{BatchDelay: 50 * time.Microsecond, CacheSize: -1})
+		run(b, Config{CacheSize: -1})
 	})
 }
 
 // BenchmarkServiceRouteBatch measures wire-path batch throughput: one
-// request carrying a batch of distinct permutations, micro-batched onto
-// Planner.RouteBatch server-side. Reported per batch.
+// request carrying a batch of distinct permutations, each entry admitted
+// through the shard's gate server-side. Reported per batch.
 func BenchmarkServiceRouteBatch(b *testing.B) {
 	const d, g = 8, 8
 	for _, size := range []int{8, 32} {
@@ -58,7 +57,7 @@ func BenchmarkServiceRouteBatch(b *testing.B) {
 				}
 				pis[i] = pi
 			}
-			svc := New(Config{BatchSize: size, BatchDelay: 50 * time.Microsecond, CacheSize: -1})
+			svc := New(Config{CacheSize: -1})
 			srv := httptest.NewServer(svc.Handler())
 			defer srv.Close()
 			defer svc.Close()
@@ -95,7 +94,7 @@ func BenchmarkServiceStream(b *testing.B) {
 	const d, g = 16, 64
 	pi := pops.VectorReversal(d * g)
 	newServer := func(b *testing.B) (*pops.ServiceClient, func()) {
-		svc := New(Config{BatchDelay: 50 * time.Microsecond, CacheSize: -1})
+		svc := New(Config{CacheSize: -1})
 		srv := httptest.NewServer(svc.Handler())
 		return pops.NewServiceClient(srv.URL, srv.Client()), func() {
 			srv.CloseClientConnections()
@@ -185,7 +184,7 @@ func BenchmarkServiceStreamCodec(b *testing.B) {
 			}{{"ndjson", pops.CodecJSON}, {"binary", pops.CodecBinary}} {
 				b.Run(fmt.Sprintf("d=%d/g=%d/%s", d, g, codec.name), func(b *testing.B) {
 					pi := pops.VectorReversal(d * g)
-					svc := New(Config{BatchDelay: 50 * time.Microsecond})
+					svc := New(Config{})
 					srv := httptest.NewServer(svc.Handler())
 					defer func() {
 						srv.CloseClientConnections()
@@ -229,11 +228,11 @@ func BenchmarkServiceStreamCodec(b *testing.B) {
 }
 
 // BenchmarkServiceInProcess isolates the serving layers without HTTP: the
-// admission queue + planner path as popsserved's handler sees it.
+// admission gate + planner path as popsserved's handler sees it.
 func BenchmarkServiceInProcess(b *testing.B) {
 	const d, g = 8, 8
 	pi := pops.VectorReversal(d * g)
-	svc := New(Config{BatchDelay: 50 * time.Microsecond, CacheSize: -1})
+	svc := New(Config{CacheSize: -1})
 	defer svc.Close()
 	if _, err := svc.Route(context.Background(), d, g, pi, ""); err != nil {
 		b.Fatal(err)

@@ -26,7 +26,7 @@ const maxRequestBody = 64 << 20
 //	POST /route         plan one permutation ("pi") or a batch ("pis")
 //	POST /route/stream  stream one permutation's slots as NDJSON chunks
 //	GET  /slots         Theorem 2 slot count for ?d=&g=
-//	GET  /stats         shard, cache, batching, latency and TTFS counters
+//	GET  /stats         shard, cache, admission, latency and TTFS counters
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /debug/slow    the slowest traced requests with phase breakdowns
 //	GET  /healthz       liveness ("ok" until Close starts)
@@ -164,7 +164,7 @@ func writeError(w http.ResponseWriter, err error) {
 // requestContext applies a route request's overload-control metadata to its
 // context: the admission tenant (the body field wins over the X-Tenant
 // header) and the propagated absolute deadline (X-Deadline). A deadline
-// that has already passed is shed here — 504 without consuming a queue
+// that has already passed is shed here — 504 without taking a planning
 // slot. The returned cancel must run when the handler finishes; ok reports
 // whether the request may proceed (the error response is already written
 // otherwise).
@@ -195,7 +195,7 @@ func (s *Service) requestContext(w http.ResponseWriter, r *http.Request, req *wi
 
 // workloadFromRequest resolves a tagged route request to its pops.Workload.
 // It returns (nil, "") for the permutation kinds, which the handlers serve
-// through the micro-batching queue instead, and an error for malformed
+// through Route instead, and an error for malformed
 // combinations (wrong payload for the kind, a strategy on a non-permutation
 // workload).
 func workloadFromRequest(req *wire.RouteRequest) (pops.Workload, error) {
@@ -303,8 +303,7 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		res, err := s.Route(obs.ContextWithSpan(ctx, sp), req.D, req.G, req.Pi, req.Strategy)
 		if err != nil {
 			writeError(w, err)
-			// The micro-batch entry may still be in flight and recording
-			// onto the span — never recycle it from here.
+			// A failed request's span is never recycled from here.
 			s.tracer.Abandon(sp)
 			return
 		}
@@ -318,9 +317,9 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.latency.Observe(s.tracer.Finish(sp))
 		return
 	}
-	// Batch requests share one response but plan as independent queue
-	// entries; a single span would double-charge the concurrent waits, so
-	// batches go untraced and observe the latency histogram in RouteMany.
+	// Batch requests share one response but pass the gate as independent
+	// entries; a single span would double-charge their waits, so batches go
+	// untraced and observe the latency histogram in RouteMany.
 	results, err := s.RouteMany(ctx, req.D, req.G, req.Pis, req.Strategy)
 	if err != nil {
 		writeError(w, err)

@@ -35,7 +35,7 @@ func (s *Service) collectMetrics(mw *obs.MetricWriter) {
 	mw.Value("", float64(st.Unroutable))
 	mw.Counter("pops_sheds_total", "Requests shed with an overload verdict (HTTP 429).")
 	mw.Value("", float64(st.Sheds))
-	mw.Counter("pops_deadline_sheds_total", "Queued requests dropped because their propagated deadline expired.")
+	mw.Counter("pops_deadline_sheds_total", "Waiting requests dropped because their propagated deadline expired.")
 	mw.Value("", float64(st.DeadlineSheds))
 
 	mw.Counter("pops_wire_requests_total", "Unary /route responses by negotiated wire codec.")
@@ -59,7 +59,7 @@ func (s *Service) collectMetrics(mw *obs.MetricWriter) {
 	for _, t := range st.Tenants {
 		mw.Value(tenantLabels(t.Tenant), float64(t.Shed))
 	}
-	mw.Counter("pops_tenant_deadline_shed_total", "Queued requests dropped per tenant on an expired deadline.")
+	mw.Counter("pops_tenant_deadline_shed_total", "Waiting requests dropped per tenant on an expired deadline.")
 	for _, t := range st.Tenants {
 		mw.Value(tenantLabels(t.Tenant), float64(t.DeadlineShed))
 	}
@@ -81,7 +81,7 @@ func (s *Service) collectMetrics(mw *obs.MetricWriter) {
 	for _, sh := range st.Shards {
 		mw.Value(shardLabels(sh.D, sh.G), float64(sh.Cache.Entries))
 	}
-	mw.Gauge("pops_shard_queue_len", "Admission-queue occupancy per live shard.")
+	mw.Gauge("pops_shard_queue_len", "Requests waiting at the admission gate per live shard.")
 	for _, sh := range st.Shards {
 		mw.Value(shardLabels(sh.D, sh.G), float64(sh.QueueLen))
 	}

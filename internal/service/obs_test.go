@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"pops"
 	"pops/internal/obs"
@@ -39,7 +38,7 @@ func routeBody(t *testing.T, d, g int, pi []int) *bytes.Reader {
 }
 
 func TestRequestIDEchoedAndGenerated(t *testing.T) {
-	_, srv := newObsServer(t, Config{BatchDelay: 200 * time.Microsecond})
+	_, srv := newObsServer(t, Config{})
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -83,7 +82,7 @@ func TestRequestIDEchoedAndGenerated(t *testing.T) {
 }
 
 func TestStreamMetaCarriesRequestID(t *testing.T) {
-	_, srv := newObsServer(t, Config{BatchDelay: 200 * time.Microsecond})
+	_, srv := newObsServer(t, Config{})
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -118,13 +117,13 @@ func TestStreamMetaCarriesRequestID(t *testing.T) {
 // histogram observation IS the span total (one measured interval, not two
 // clocks), and the traced phases must account for at least 90% of it — the
 // queue wait, cache lookup, factorization, and encode are all instrumented,
-// so only scheduler hand-offs may go unattributed. A generous batch delay
-// dominates the total with deliberately-traced queue time, keeping the
-// untraced slice well under 10% even on a loaded CI machine; timing noise is
-// absorbed by taking the best of a few attempts.
+// so only scheduler hand-offs may go unattributed. With the cache off every
+// attempt plans from scratch, so traced factorization dominates the total,
+// keeping the untraced slice well under 10% even on a loaded CI machine;
+// timing noise is absorbed by taking the best of a few attempts.
 func TestPhaseBreakdownMatchesLatencyHistogram(t *testing.T) {
-	svc, srv := newObsServer(t, Config{BatchDelay: 5 * time.Millisecond})
-	const d, g = 4, 8
+	svc, srv := newObsServer(t, Config{CacheSize: -1})
+	const d, g = 16, 64
 	pi := pops.VectorReversal(d * g)
 
 	var lastPhase, lastTotal float64
@@ -173,7 +172,7 @@ func TestPhaseBreakdownMatchesLatencyHistogram(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, srv := newObsServer(t, Config{BatchDelay: 200 * time.Microsecond})
+	_, srv := newObsServer(t, Config{})
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -241,7 +240,7 @@ func mustReadAll(t *testing.T, resp *http.Response) string {
 }
 
 func TestDebugSlowEndpoint(t *testing.T) {
-	_, srv := newObsServer(t, Config{Name: "slow-node", BatchDelay: 200 * time.Microsecond})
+	_, srv := newObsServer(t, Config{Name: "slow-node"})
 	const d, g = 4, 8
 	n := d * g
 	for i := 0; i < 3; i++ {
@@ -307,7 +306,7 @@ func TestDebugSlowEndpoint(t *testing.T) {
 // per-(d, g, strategy) EWMAs ride the existing stats schema, which is what
 // the fleet aggregation and the future Auto cost model consume.
 func TestStatsCarriesPlanTimes(t *testing.T) {
-	svc, _ := newObsServer(t, Config{BatchDelay: 200 * time.Microsecond})
+	svc, _ := newObsServer(t, Config{})
 	ctx := t.Context()
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,45 +32,79 @@ func permJSON(pi []int) string {
 	return string(b)
 }
 
-// newIdleShard builds a shard whose admission loop is NOT running, so its
-// queue state is fully deterministic: admissions stay queued until the test
-// starts the loop itself.
-func newIdleShard(t *testing.T, svc *Service, d, g int) *shard {
+// oneSlotShard builds a service whose shards have a single planning slot
+// and resolves its POPS(4, 4) shard.
+func oneSlotShard(t *testing.T, cfg Config) (*Service, *shard) {
 	t.Helper()
-	sh, err := newShard(svc, d, g)
+	cfg.PlannerOptions = append(cfg.PlannerOptions, pops.WithParallelism(1))
+	svc := New(cfg)
+	t.Cleanup(svc.Close)
+	sh, err := svc.shardFor(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sh
+	return svc, sh
 }
 
-func startLoop(svc *Service, sh *shard) {
-	svc.wg.Add(1)
-	go sh.loop()
+// holdSlots occupies every planning slot of sh, so gate admissions wait
+// until the returned release runs.
+func holdSlots(sh *shard) (release func()) {
+	for i := 0; i < cap(sh.slots); i++ {
+		sh.slots <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(sh.slots); i++ {
+			<-sh.slots
+		}
+	}
 }
 
-// TestQueueOverflowShedsTyped fills a shard's bounded admission queue and
+// awaitWaiters blocks until n requests wait at sh's gate.
+func awaitWaiters(t *testing.T, sh *shard, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for sh.waiting.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests waiting at the gate, want %d", sh.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// outcome is one gate request's answer, delivered by routeAsync.
+type outcome struct {
+	res Result
+	err error
+}
+
+// routeAsync sends one permutation through sh's gate on its own goroutine.
+func routeAsync(ctx context.Context, sh *shard, pi []int, strategy string) <-chan outcome {
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := sh.route(ctx, pi, strategy)
+		ch <- outcome{res, err}
+	}()
+	return ch
+}
+
+// TestQueueOverflowShedsTyped fills a shard's bounded admission wait and
 // pins the overflow contract: the excess admission is rejected immediately
 // with a typed *pops.OverloadError carrying the shape, queue name, and a
 // positive Retry-After hint — and every request that was admitted before the
-// bound still completes once the loop runs.
+// bound still completes once a planning slot frees.
 func TestQueueOverflowShedsTyped(t *testing.T) {
-	svc := New(Config{QueueDepth: 2, BatchSize: 2, BatchDelay: time.Millisecond})
-	t.Cleanup(svc.Close)
-	sh := newIdleShard(t, svc, 4, 4)
+	_, sh := oneSlotShard(t, Config{QueueDepth: 2})
+	release := holdSlots(sh)
 
 	pi := pops.VectorReversal(16)
 	ctx := context.Background()
-	var waiters []chan Result
+	var waiters []<-chan outcome
 	for i := 0; i < 2; i++ {
-		ch, err := sh.admit(ctx, pi, "")
-		if err != nil {
-			t.Fatalf("admit %d within the queue bound: %v", i, err)
-		}
-		waiters = append(waiters, ch)
+		waiters = append(waiters, routeAsync(ctx, sh, pi, ""))
 	}
+	awaitWaiters(t, sh, 2)
 
-	_, err := sh.admit(ctx, pi, "")
+	_, err := sh.route(ctx, pi, "")
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("overflow admission returned %v, want *pops.OverloadError", err)
@@ -84,86 +119,190 @@ func TestQueueOverflowShedsTyped(t *testing.T) {
 		t.Fatalf("shard sheds = %d, want 1", got)
 	}
 
-	// The queue bound rejected the overflow, not the admitted work: start
-	// the loop and every queued request must still complete with a plan.
-	startLoop(svc, sh)
+	// The wait bound rejected the overflow, not the admitted work: free the
+	// slot and every waiting request must still complete with a plan.
+	release()
 	for i, ch := range waiters {
 		select {
-		case res := <-ch:
-			if res.Err != nil || res.Plan == nil {
-				t.Fatalf("queued request %d: %+v, want a plan", i, res)
+		case out := <-ch:
+			if out.err != nil || out.res.Err != nil || out.res.Plan == nil {
+				t.Fatalf("waiting request %d: %+v, want a plan", i, out)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("queued request %d never completed", i)
+			t.Fatalf("waiting request %d never completed", i)
 		}
 	}
-	sh.close()
-	<-sh.done
 }
 
 // TestDeadlineExpiredQueuedRequestShed pins deadline shedding: a request
-// whose propagated deadline expires while it sits in the queue is dropped at
-// flush — its waiter receives context.DeadlineExceeded and the planner never
-// sees it.
+// whose propagated deadline expires while it waits for a planning slot is
+// dropped — it returns context.DeadlineExceeded and the planner never sees
+// it.
 func TestDeadlineExpiredQueuedRequestShed(t *testing.T) {
-	svc := New(Config{QueueDepth: 4, BatchSize: 2, BatchDelay: time.Millisecond})
-	t.Cleanup(svc.Close)
-	sh := newIdleShard(t, svc, 4, 4)
+	_, sh := oneSlotShard(t, Config{QueueDepth: 4})
+	release := holdSlots(sh)
 
 	dctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	doomed, err := sh.admit(dctx, pops.VectorReversal(16), "")
-	if err != nil {
-		t.Fatalf("admit with a live deadline: %v", err)
-	}
-	alive, err := sh.admit(context.Background(), pops.IdentityPermutation(16), "")
-	if err != nil {
-		t.Fatalf("admit without a deadline: %v", err)
-	}
-	<-dctx.Done() // the queued entry's deadline passes before any flush
+	doomed := routeAsync(dctx, sh, pops.VectorReversal(16), "")
+	alive := routeAsync(context.Background(), sh, pops.IdentityPermutation(16), "")
+	awaitWaiters(t, sh, 2)
+	<-dctx.Done() // the waiting request's deadline passes before any slot frees
 
-	startLoop(svc, sh)
 	select {
-	case res := <-doomed:
-		if !errors.Is(res.Err, context.DeadlineExceeded) {
-			t.Fatalf("doomed entry resolved %+v, want DeadlineExceeded", res)
+	case out := <-doomed:
+		if !errors.Is(out.err, context.DeadlineExceeded) {
+			t.Fatalf("doomed request resolved %+v, want DeadlineExceeded", out)
 		}
-		if res.Plan != nil {
-			t.Fatal("doomed entry was planned anyway")
+		if out.res.Plan != nil {
+			t.Fatal("doomed request was planned anyway")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("doomed entry never resolved")
+		t.Fatal("doomed request never resolved")
 	}
+	release()
 	select {
-	case res := <-alive:
-		if res.Err != nil || res.Plan == nil {
-			t.Fatalf("live entry resolved %+v, want a plan", res)
+	case out := <-alive:
+		if out.err != nil || out.res.Err != nil || out.res.Plan == nil {
+			t.Fatalf("live request resolved %+v, want a plan", out)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("live entry never completed")
+		t.Fatal("live request never completed")
 	}
 	if got := sh.deadlineSheds.Load(); got != 1 {
 		t.Fatalf("deadline sheds = %d, want 1", got)
 	}
-	sh.close()
-	<-sh.done
 }
 
 // TestAdmitRefusesExpiredContext: a request that arrives already expired is
-// refused before it takes a queue slot.
+// refused before it takes a slot or a place in the wait.
 func TestAdmitRefusesExpiredContext(t *testing.T) {
-	svc := New(Config{QueueDepth: 4})
-	t.Cleanup(svc.Close)
-	sh := newIdleShard(t, svc, 4, 4)
+	_, sh := oneSlotShard(t, Config{QueueDepth: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sh.admit(ctx, pops.VectorReversal(16), ""); !errors.Is(err, context.Canceled) {
+	if _, err := sh.route(ctx, pops.VectorReversal(16), ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("admit with a dead context: %v, want context.Canceled", err)
 	}
-	if n := len(sh.reqs); n != 0 {
-		t.Fatalf("dead-context admission took a queue slot (%d queued)", n)
+	if n := sh.waiting.Load() + int64(len(sh.slots)); n != 0 {
+		t.Fatalf("dead-context admission took a slot or a place in the wait (%d)", n)
 	}
-	sh.close() // the loop never ran, so there is no drain to wait for
+}
+
+// slotHolder is a plan observer that parks the first default-strategy plan
+// inside its planning slot until release is closed.
+type slotHolder struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *slotHolder) ObservePlan(strategy string, cached bool, d time.Duration) {
+	if strategy != pops.StrategyTheoremTwo {
+		return
+	}
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	<-h.release
+}
+
+// TestNamedStrategyShedsAtAdmission: a named-strategy request passes the
+// same gate as the default strategy, so with the one planning slot busy and
+// the wait full it sheds with Queue "admission" instead of running
+// uncapped beside the planner.
+func TestNamedStrategyShedsAtAdmission(t *testing.T) {
+	holder := &slotHolder{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	svc := New(Config{QueueDepth: 2, PlannerOptions: []pops.Option{
+		pops.WithParallelism(1), pops.WithPlanObserver(holder),
+	}})
+	const d, g = 4, 4
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	route := func(pi []int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := svc.Route(ctx, d, g, pi, ""); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	t.Cleanup(func() {
+		close(holder.release)
+		wg.Wait()
+		svc.Close()
+	})
+
+	route(pops.VectorReversal(d * g))
+	<-holder.entered // the slot is held by a default-strategy miss
+	for i := 1; i <= 2; i++ {
+		pi, err := pops.MeshShift(d, g, i, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		route(pi)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := svc.Stats()
+		if len(st.Shards) == 1 && st.Shards[0].QueueLen == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("wait never filled: %+v", st.Shards)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	_, err := svc.Route(ctx, d, g, pops.IdentityPermutation(d*g), pops.StrategyGreedy)
+	var oe *pops.OverloadError
+	if !errors.As(err, &oe) || oe.Queue != "admission" {
+		t.Fatalf("greedy request with the gate full returned %v, want an admission shed", err)
+	}
+}
+
+// TestNamedStrategyRefusesCancelledContext: a named-strategy request with a
+// dead context is refused at admission and never reaches its router.
+func TestNamedStrategyRefusesCancelledContext(t *testing.T) {
+	svc := New(Config{})
+	t.Cleanup(svc.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := svc.Route(ctx, 4, 4, pops.VectorReversal(16), pops.StrategyGreedy)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("greedy request with a dead context: %v, want context.Canceled", err)
+	}
+	st := svc.Stats()
+	for _, sh := range st.Shards {
+		if sh.Requests != 0 {
+			t.Fatalf("shard admitted %d requests for a dead context", sh.Requests)
+		}
+	}
+	if len(st.PlanTimes) != 0 {
+		t.Fatalf("a dead-context request was planned: %+v", st.PlanTimes)
+	}
+}
+
+// TestRetryAfterHint pins the backoff hint: the rounds of slots the waiters
+// fill, plus one, times the plan-time EWMA, clamped to [5ms, 2s].
+func TestRetryAfterHint(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		ewma           time.Duration
+		waiters, slots int
+		want           time.Duration
+	}{
+		{0, 0, 1, 5 * ms},                   // nothing measured yet: the floor
+		{ms, 3, 4, 5 * ms},                  // one round, under the floor
+		{10 * ms, 0, 4, 10 * ms},            // idle gate: one plan time
+		{10 * ms, 7, 4, 20 * ms},            // a partial round rounds down
+		{10 * ms, 8, 4, 30 * ms},            // two full rounds ahead
+		{10 * ms, 1024, 1, 2 * time.Second}, // the ceiling
+	} {
+		if got := retryAfter(tc.ewma, tc.waiters, tc.slots); got != tc.want {
+			t.Errorf("retryAfter(%v, %d waiters, %d slots) = %v, want %v", tc.ewma, tc.waiters, tc.slots, got, tc.want)
+		}
+	}
 }
 
 // TestStreamCapSheds is the regression test for /route/stream bypassing

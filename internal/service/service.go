@@ -1,30 +1,34 @@
 // Package service is the long-running serving layer over the pops planning
-// library: a sharded planner service with micro-batching and a fingerprint
-// plan cache, the subsystem behind cmd/popsserved.
+// library: a sharded planner service with one admission gate per shard and
+// a fingerprint plan cache, the subsystem behind cmd/popsserved.
 //
 // One shard wraps one pops.Planner per requested POPS(d, g) shape, created
-// lazily on first use and bounded by an LRU over live shards. Each shard
-// runs an admission queue that coalesces concurrent /route requests into
-// micro-batches (flushed on batch size or a small deadline) onto
-// Planner.RouteBatch, so the arena-backed allocation-free planning path is
-// amortized across the wire, and duplicate in-flight permutations collapse
-// onto a single planner invocation. Every shard's planner carries a
-// WithPlanCache fingerprint cache, so recurring permutation families (BPC,
-// mesh shifts) are answered without replanning; hit/miss counters and a
-// request-latency histogram are exported over GET /stats.
+// lazily on first use and bounded by an LRU over live shards. Every unary
+// request on a shard — a permutation under any strategy, a RouteMany entry,
+// an Execute workload — passes the shard's one admission gate: a semaphore
+// of planning slots (the planner's WithParallelism workers), a wait for a
+// slot bounded by QueueDepth (past it, requests shed with a typed
+// *pops.OverloadError), weighted per-tenant quotas, and deadline sheds for
+// waiters whose context ends first. A lone request takes a free slot at
+// once and plans immediately. Identical default-strategy permutations in
+// flight coalesce onto a single planner invocation. Every shard's planner
+// carries a WithPlanCache fingerprint cache, so recurring permutation
+// families (BPC, mesh shifts) are answered without replanning; hit/miss
+// counters and a request-latency histogram are exported over GET /stats.
 //
 // POST /route/stream delivers a plan incrementally: the stream checks a
 // worker planner out of the shard's pool and flushes one NDJSON slot record
 // per color class as the König factorization peels it, so the first slots
-// reach the caller in a fraction of the full planning latency — and the
-// shard's admission queue keeps admitting (and batching) other requests
-// between records, including while a stream's factorization is still in
-// progress. GET /stats exports a time-to-first-slot histogram next to the
-// request-latency one.
+// reach the caller in a fraction of the full planning latency. Streams are
+// capped by MaxStreams rather than planning slots — an open stream holds a
+// worker for as long as its client reads — so the gate keeps admitting
+// other requests while a stream's factorization is still in progress. GET
+// /stats exports a time-to-first-slot histogram next to the request-latency
+// one.
 //
 // The HTTP surface (Handler) speaks the JSON schema of internal/wire:
 // POST /route, POST /route/stream, GET /slots, GET /stats, GET /healthz.
-// Close drains every shard's in-flight batches and slot streams before
+// Close drains every shard's admitted requests and slot streams before
 // returning, which is what popsserved's graceful shutdown calls after
 // http.Server.Shutdown.
 package service
@@ -33,7 +37,6 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,41 +57,37 @@ type Config struct {
 	// MaxShards bounds the number of live planner shards (distinct POPS
 	// shapes) via LRU eviction. Default 64.
 	MaxShards int
-	// BatchSize flushes a shard's admission queue once this many requests
-	// have coalesced. Default 32.
-	BatchSize int
-	// BatchDelay flushes a partial batch this long after its first request
-	// was admitted, bounding the latency cost of coalescing. Default 1ms.
-	BatchDelay time.Duration
 	// CacheSize is the per-shard fingerprint plan cache capacity in plans
 	// (pops.WithPlanCache). Default 1024; negative disables caching.
 	CacheSize int
 	// PlannerOptions are extra options applied to every shard's planner
 	// (e.g. pops.WithVerify, pops.WithParallelism, pops.WithAlgorithm).
+	// WithParallelism also sets the number of planning slots in each
+	// shard's admission gate (default GOMAXPROCS).
 	PlannerOptions []pops.Option
 	// SlowRequests is how many of the slowest requests the tracer retains
 	// for GET /debug/slow. Default 64.
 	SlowRequests int
-	// QueueDepth bounds each shard's admission queue. An admission that
-	// finds the queue full is rejected immediately with a typed
-	// *pops.OverloadError (HTTP 429) instead of blocking — load past the
-	// bound is shed, not buffered. Default 32×BatchSize; negative means 1.
+	// QueueDepth bounds how many requests may wait for a planning slot on
+	// each shard. An admission that finds the wait full is rejected
+	// immediately with a typed *pops.OverloadError (HTTP 429) instead of
+	// blocking — load past the bound is shed, not buffered. Default 1024;
+	// negative means 1.
 	QueueDepth int
 	// MaxStreams bounds concurrently open slot streams per shard; excess
 	// stream admissions are shed with *pops.OverloadError. Default 64;
 	// negative disables the cap.
 	MaxStreams int
-	// MaxDirect bounds concurrently executing direct-path requests per
-	// shard (non-batched strategies and workload kinds). Default 0: no cap,
-	// matching the previous behavior; set it to shed the direct path too.
-	MaxDirect int
 	// TenantWeights assigns admission weights to tenant names for the
-	// TenantMix quota model: when a shard's queue is contended, each tenant
-	// is throttled to its weight's share of the queue's service rate.
+	// TenantMix quota model: when a shard's wait is contended, each tenant
+	// is throttled to its weight's share of the shard's service rate.
 	// Unlisted tenants (including the empty tenant) weigh 1. A nil map
 	// leaves every tenant at weight 1 — fair sharing by request count.
 	TenantWeights map[string]float64
 }
+
+// defaultQueueDepth is the default bound on each shard's admission wait.
+const defaultQueueDepth = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
@@ -97,17 +96,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxShards <= 0 {
 		c.MaxShards = 64
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.BatchDelay == 0 {
-		c.BatchDelay = time.Millisecond
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 32 * c.BatchSize
+		c.QueueDepth = defaultQueueDepth
 	} else if c.QueueDepth < 0 {
 		c.QueueDepth = 1
 	}
@@ -115,9 +108,6 @@ func (c Config) withDefaults() Config {
 		c.MaxStreams = 64
 	} else if c.MaxStreams < 0 {
 		c.MaxStreams = 0 // uncapped
-	}
-	if c.MaxDirect < 0 {
-		c.MaxDirect = 0 // uncapped
 	}
 	return c
 }
@@ -137,7 +127,7 @@ var ErrClosed = errors.New("service: shutting down")
 type shapeKey struct{ d, g int }
 
 // Service is the sharded planner service. Create one with New, mount
-// Handler on an HTTP server, and Close it to drain in-flight batches on
+// Handler on an HTTP server, and Close it to drain in-flight requests on
 // shutdown. All methods are safe for concurrent use.
 type Service struct {
 	cfg Config
@@ -146,7 +136,7 @@ type Service struct {
 	shards map[shapeKey]*list.Element
 	lru    list.List // of *shard; front = most recently used
 	closed bool
-	wg     sync.WaitGroup // live shard loops
+	wg     sync.WaitGroup // evicted shards still draining
 
 	requests      atomic.Uint64
 	evictedShards atomic.Uint64
@@ -158,9 +148,9 @@ type Service struct {
 	// /stats totals survive shard churn.
 	retiredHits   atomic.Uint64
 	retiredMisses atomic.Uint64
-	// sheds counts overload rejections (429); deadlineSheds the queued
-	// entries dropped because their propagated deadline expired before a
-	// planner worker touched them. retiredSheds/retiredDeadlineSheds
+	// sheds counts overload rejections (429); deadlineSheds the requests
+	// dropped because their propagated deadline expired before a planning
+	// slot touched them. retiredSheds/retiredDeadlineSheds
 	// preserve evicted shards' counts, mirroring the cache counters.
 	sheds                atomic.Uint64
 	deadlineSheds        atomic.Uint64
@@ -179,9 +169,9 @@ type Service struct {
 	codecNDJSON wireCodecCounters
 	codecBinary wireCodecCounters
 
-	// Streaming state: /route/stream requests bypass the admission queues
-	// (each stream owns a worker planner), so graceful drain tracks them
-	// separately; ttfs is the time-to-first-slot histogram.
+	// Streaming state: /route/stream requests hold a worker planner outside
+	// the planning slots, so graceful drain tracks them separately; ttfs is
+	// the time-to-first-slot histogram.
 	streams       atomic.Uint64
 	streamedSlots atomic.Uint64
 	ttfs          obs.Histogram
@@ -294,9 +284,8 @@ func (s *Service) shardFor(d, g int) (*shard, error) {
 		victim = back.Value.(*shard)
 		delete(s.shards, victim.key)
 		s.lru.Remove(back)
+		s.wg.Add(1)
 	}
-	s.wg.Add(1)
-	go sh.loop()
 	s.mu.Unlock()
 	if victim != nil {
 		s.retire(victim)
@@ -305,11 +294,12 @@ func (s *Service) shardFor(d, g int) (*shard, error) {
 }
 
 // retire drains one evicted shard and folds its cache counters into the
-// service totals. It runs outside the registry lock: draining only depends
-// on the shard's own loop, which keeps consuming until the queue closes.
+// service totals. It runs outside the registry lock: draining only waits
+// for the requests the shard admitted before it closed.
 func (s *Service) retire(sh *shard) {
+	defer s.wg.Done()
 	sh.close()
-	<-sh.done
+	sh.active.Wait()
 	cs := sh.planner.CacheStats()
 	s.retiredHits.Add(cs.Hits)
 	s.retiredMisses.Add(cs.Misses)
@@ -318,123 +308,79 @@ func (s *Service) retire(sh *shard) {
 	s.evictedShards.Add(1)
 }
 
+// onShard runs fn on the live shard for POPS(d, g), re-resolving the shard
+// when it was evicted between the lookup and admission.
+func onShard[T any](s *Service, d, g int, fn func(*shard) (T, error)) (T, error) {
+	for {
+		sh, err := s.shardFor(d, g)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		res, err := fn(sh)
+		if err != errShardRetired {
+			return res, err
+		}
+	}
+}
+
+// route is Route without the service-wide accounting.
+func (s *Service) route(ctx context.Context, d, g int, pi []int, strategy string) (Result, error) {
+	return onShard(s, d, g, func(sh *shard) (Result, error) { return sh.route(ctx, pi, strategy) })
+}
+
 // Route plans one permutation on POPS(d, g) through the shard's admission
-// queue (strategy "" or "theorem2") or directly through the named strategy
-// router. ctx gates the wait: a cancelled context abandons the request (the
-// in-flight micro-batch still completes server-side) and returns ctx.Err().
-// The returned error is otherwise request-level (invalid shape, unknown
-// strategy, service shutting down); per-permutation planning failures come
-// back in Result.Err, mirroring the batch contract.
+// gate: strategy "" or "theorem2" on the shard's planner, any other
+// strategy on its router. A context that is already dead, or that ends
+// while the request waits for a planning slot, returns ctx.Err(). The
+// returned error is otherwise request-level (invalid shape, unknown
+// strategy, overload, service shutting down); per-permutation planning
+// failures come back in Result.Err, mirroring the batch contract.
 func (s *Service) Route(ctx context.Context, d, g int, pi []int, strategy string) (Result, error) {
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := sh.route(ctx, pi, strategy)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		return res, nil
-	}
+	return s.route(ctx, d, g, pi, strategy)
 }
 
-// Execute plans one non-permutation workload on POPS(d, g), bypassing the
-// micro-batching queue (which amortizes only the Theorem 2 permutation
-// path): the workload is executed directly on the shard's planner, where it
-// shares the pooled worker arenas and the fingerprint plan cache. ctx
-// cancels planning between König factors. Request-level failures (invalid
-// shape, shutdown) are returned as the error; workload planning failures
-// come back in Result.Err, mirroring Route.
+// Execute plans one non-permutation workload on POPS(d, g) through the
+// shard's admission gate, where it shares the planning slots, the pooled
+// worker arenas and the fingerprint plan cache. ctx cancels planning
+// between König factors. Request-level failures (invalid shape, overload,
+// shutdown) are returned as the error; workload planning failures come
+// back in Result.Err, mirroring Route.
 func (s *Service) Execute(ctx context.Context, d, g int, w pops.Workload) (Result, error) {
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return Result{}, err
+	res, err := onShard(s, d, g, func(sh *shard) (Result, error) { return sh.execute(ctx, w) })
+	if err == nil && w.Kind() == pops.WorkloadFaultyPermutation {
+		s.faultPlans.Add(1)
+		var ue *pops.UnroutableError
+		if errors.As(res.Err, &ue) {
+			s.unroutable.Add(1)
 		}
-		res, err := sh.execute(ctx, w)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		if w.Kind() == pops.WorkloadFaultyPermutation {
-			s.faultPlans.Add(1)
-			var ue *pops.UnroutableError
-			if errors.As(res.Err, &ue) {
-				s.unroutable.Add(1)
-			}
-		}
-		return res, nil
 	}
+	return res, err
 }
 
-// RouteMany plans a batch of permutations on POPS(d, g). All entries are
-// admitted to the shard's queue before any result is awaited, so a batch
-// coalesces with itself (and with concurrent requests) onto RouteBatch.
-// Per-entry outcomes are independent: each result carries its own plan or
-// error, mirroring the pops.Planner.RouteBatch contract — an entry shed by
-// the admission bound carries its *pops.OverloadError without failing its
-// batchmates. A cancelled ctx abandons the wait and returns ctx.Err().
+// RouteMany plans a batch of permutations on POPS(d, g), each entry
+// through the shard's admission gate like a Route call. Per-entry outcomes
+// are independent: each result carries its own plan or error, mirroring the
+// pops.Planner.RouteBatch contract — an entry shed by the gate carries its
+// *pops.OverloadError without failing its batchmates. A dead ctx returns
+// ctx.Err().
 func (s *Service) RouteMany(ctx context.Context, d, g int, pis [][]int, strategy string) ([]Result, error) {
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(uint64(len(pis)))
 	results := make([]Result, len(pis))
-	waiters := make([]chan Result, len(pis))
-	pending := pis
-	offset := 0
-	for len(pending) > 0 {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
+	for i, pi := range pis {
+		res, err := s.route(ctx, d, g, pi, strategy)
+		var oe *pops.OverloadError
+		if errors.As(err, &oe) {
+			res.Err = err
+		} else if err != nil {
 			return nil, err
 		}
-		admitted := 0
-		retired := false
-		for i, pi := range pending {
-			ch, err := sh.admit(ctx, pi, strategy)
-			if err == errShardRetired {
-				retired = true
-				break
-			}
-			var oe *pops.OverloadError
-			if errors.As(err, &oe) {
-				// A shed entry is a per-entry outcome: the rest of the batch
-				// proceeds, so one full queue degrades a batch instead of
-				// erasing it.
-				results[offset+i] = Result{Err: err}
-				admitted++
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			waiters[offset+i] = ch
-			admitted++
-		}
-		for i := 0; i < admitted; i++ {
-			if waiters[offset+i] == nil {
-				continue // shed at admission; its Result is already filled
-			}
-			select {
-			case results[offset+i] = <-waiters[offset+i]:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		pending = pending[admitted:]
-		offset += admitted
-		if !retired && len(pending) > 0 {
-			// Unreachable: admit only stops early on retirement.
-			return nil, fmt.Errorf("service: batch admission stalled")
-		}
+		results[i] = res
 	}
 	return results, nil
 }
@@ -509,18 +455,12 @@ func (s *Service) Stats() wire.StatsResponse {
 	return resp
 }
 
-// Close stops admitting requests, drains every shard's in-flight batches
-// AND in-flight slot streams — a stream admitted before Close keeps
-// delivering until its consumer has every remaining slot — and waits for
-// the shard loops to exit. It is idempotent.
+// Close stops admitting requests and drains every shard's admitted
+// requests AND in-flight slot streams — a stream admitted before Close
+// keeps delivering until its consumer has every remaining slot. It is
+// idempotent.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		s.streamsWG.Wait()
-		return
-	}
 	s.closed = true
 	shards := make([]*shard, 0, s.lru.Len())
 	for el := s.lru.Front(); el != nil; el = el.Next() {
@@ -529,6 +469,9 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	for _, sh := range shards {
 		sh.close()
+	}
+	for _, sh := range shards {
+		sh.active.Wait()
 	}
 	s.wg.Wait()
 	s.streamsWG.Wait()

@@ -65,7 +65,7 @@ func TestEndToEndRouteVerifiesOnSimulator(t *testing.T) {
 // small set of recurring permutations, so shard creation races and cache
 // hits both happen.
 func TestConcurrentShardsAndCacheHits(t *testing.T) {
-	svc, client := newTestServer(t, Config{BatchDelay: 200 * time.Microsecond})
+	svc, client := newTestServer(t, Config{})
 	shapes := []struct{ d, g int }{{4, 8}, {8, 4}}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -143,13 +143,14 @@ func TestRepeatedPermutationHitsCacheObservableViaStats(t *testing.T) {
 }
 
 // TestMicroBatchCoalescesIdenticalRequests proves the coalescing claim: N
-// concurrent identical requests produce at most one planner invocation. The
-// batch window is held open long enough for all N to coalesce, and planner
-// work is counted by the shard's cache misses — every planner invocation
-// for a cold cache is exactly one miss.
+// concurrent identical requests produce at most one planner invocation.
+// Requests arriving while the permutation is being planned join that
+// flight; later ones hit the plan cache it filled. Planner work is counted
+// by the shard's cache misses — every planner invocation for a cold cache
+// is exactly one miss.
 func TestMicroBatchCoalescesIdenticalRequests(t *testing.T) {
 	const n = 16
-	svc, _ := newTestServer(t, Config{BatchSize: n, BatchDelay: 300 * time.Millisecond})
+	svc, _ := newTestServer(t, Config{})
 	const d, g = 4, 4
 	pi := pops.VectorReversal(d * g)
 
@@ -189,49 +190,6 @@ func TestMicroBatchCoalescesIdenticalRequests(t *testing.T) {
 	}
 	if sh.Requests != n {
 		t.Fatalf("shard requests = %d, want %d", sh.Requests, n)
-	}
-}
-
-// TestMicroBatchReachesRouteBatchWithSizeGreaterThanOne pins the other half
-// of the acceptance criterion: concurrent distinct requests coalesce into a
-// flush of size > 1 that lands on Planner.RouteBatch, observable through the
-// shard's batch counters.
-func TestMicroBatchReachesRouteBatchWithSizeGreaterThanOne(t *testing.T) {
-	const n = 8
-	svc, _ := newTestServer(t, Config{BatchSize: n, BatchDelay: 300 * time.Millisecond})
-	const d, g = 4, 4
-	pis := make([][]int, n)
-	for i := range pis {
-		pi, err := pops.MeshShift(d, g, i%d, i%g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pis[i] = pi
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := svc.Route(context.Background(), d, g, pis[i], "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if res.Err != nil {
-				t.Error(res.Err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	sh := svc.Stats().Shards[0]
-	if sh.MaxBatch <= 1 {
-		t.Fatalf("max batch = %d: concurrent requests never coalesced onto RouteBatch", sh.MaxBatch)
-	}
-	if sh.Batches == 0 || sh.BatchedRequests != n {
-		t.Fatalf("batches = %d, batched requests = %d (want %d total)", sh.Batches, sh.BatchedRequests, n)
 	}
 }
 
@@ -378,7 +336,7 @@ func TestLatencyHistogramBucketBoundaries(t *testing.T) {
 // admitted before Close get answers, requests after get ErrClosed, and the
 // health endpoint flips.
 func TestCloseDrainsInFlightAndRejectsNew(t *testing.T) {
-	svc := New(Config{BatchSize: 64, BatchDelay: 10 * time.Second})
+	svc := New(Config{PlannerOptions: []pops.Option{pops.WithParallelism(1)}})
 	const d, g = 4, 4
 	const n = 8
 	pis := make([][]int, n)
@@ -389,50 +347,42 @@ func TestCloseDrainsInFlightAndRejectsNew(t *testing.T) {
 		}
 		pis[i] = pi
 	}
-	// RouteMany admits every entry before waiting, so once admitted is
-	// signaled the requests are in the queue with a 10s batch window still
-	// open: only Close's drain can answer them promptly.
-	admitted := make(chan struct{})
-	type outcome struct {
-		results []Result
-		err     error
+	// With the shard's one planning slot held, every request is admitted
+	// and waiting at the gate: only a slot freed during Close's drain can
+	// answer them.
+	sh, err := svc.shardFor(d, g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan outcome, 1)
+	release := holdSlots(sh)
+	waiters := make([]<-chan outcome, n)
+	for i, pi := range pis {
+		waiters[i] = routeAsync(context.Background(), sh, pi, "")
+	}
+	awaitWaiters(t, sh, n)
+	closed := make(chan struct{})
 	go func() {
-		sh, err := svc.shardFor(d, g)
-		if err != nil {
-			done <- outcome{err: err}
-			return
-		}
-		waiters := make([]chan Result, n)
-		for i, pi := range pis {
-			ch, err := sh.admit(context.Background(), pi, "")
-			if err != nil {
-				done <- outcome{err: err}
-				return
-			}
-			waiters[i] = ch
-		}
-		close(admitted)
-		results := make([]Result, n)
-		for i := range waiters {
-			results[i] = <-waiters[i]
-		}
-		done <- outcome{results: results}
+		svc.Close()
+		close(closed)
 	}()
-	<-admitted
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted requests were still waiting")
+	case <-time.After(50 * time.Millisecond):
+	}
 	start := time.Now()
-	svc.Close()
-	out := <-done
-	if out.err != nil {
-		t.Fatalf("admission failed: %v", out.err)
-	}
+	release()
+	<-closed
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("drain waited out the batch window (%v) instead of flushing", waited)
+		t.Fatalf("drain took %v after the slot freed", waited)
 	}
-	for i, res := range out.results {
-		if res.Err != nil || res.Plan == nil {
-			t.Fatalf("in-flight request %d lost across shutdown: %+v", i, res)
+	for i, ch := range waiters {
+		out := <-ch
+		if out.err != nil {
+			t.Fatalf("admission failed: %v", out.err)
+		}
+		if out.res.Err != nil || out.res.Plan == nil {
+			t.Fatalf("in-flight request %d lost across shutdown: %+v", i, out.res)
 		}
 	}
 	if _, err := svc.Route(context.Background(), d, g, pops.VectorReversal(d*g), ""); err != ErrClosed {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +14,12 @@ import (
 	"pops/internal/wire"
 )
 
-// errShardRetired is returned by admit when the shard was evicted between
-// the registry lookup and admission; callers re-resolve the shard and retry.
+// errShardRetired is returned by admission when the shard was evicted
+// between the registry lookup and admission; callers re-resolve the shard
+// and retry.
 var errShardRetired = errors.New("service: shard retired")
 
-// Result is the outcome of one admitted permutation: a plan or a per-entry
+// Result is the outcome of one admitted request: a plan or a per-entry
 // planning error, plus whether the plan came from the fingerprint cache.
 type Result struct {
 	Plan   *pops.Plan
@@ -25,26 +27,11 @@ type Result struct {
 	Err    error
 }
 
-// request is one queued routing demand awaiting a micro-batch flush. sp is
-// the admitting request's trace span (nil when untraced) and at its admission
-// time, so the flush can attribute the queue wait to the span's queue phase.
-// ctx is the admitting request's context: a queued entry whose deadline has
-// already passed when its flush starts is shed before it reaches a planner
-// worker, and tenant is the admission tenant the entry was charged to.
-type request struct {
-	ctx    context.Context
-	pi     []int
-	tenant string
-	done   chan Result // buffered (cap 1) so flush never blocks on a reader
-	sp     *obs.Span
-	at     time.Time
-}
-
 // tenantBucket is one tenant's token bucket on one shard: tokens are debited
-// at admission while the queue is contended and credited back in proportion
-// to the tenant's weight as the queue drains, so refill is coupled to the
-// shard's actual service rate — no separate rate configuration to drift out
-// of sync with planner speed.
+// at admission while the gate's wait is contended and credited back in
+// proportion to the tenant's weight as requests are answered, so refill is
+// coupled to the shard's actual service rate — no separate rate
+// configuration to drift out of sync with planner speed.
 type tenantBucket struct {
 	weight float64
 	tokens float64
@@ -72,11 +59,23 @@ func (c observerChain) ObservePlan(strategy string, cached bool, d time.Duration
 	}
 }
 
+// flight is one default-strategy permutation being planned in a slot.
+// Identical permutations admitted meanwhile join it instead of planning
+// again; joiners counts them, and res is readable once done is closed.
+type flight struct {
+	pi      []int
+	joiners uint64
+	done    chan struct{}
+	res     Result
+}
+
 // shard serves one POPS(d, g) shape: a pops.Planner with a fingerprint plan
-// cache, fed by an admission queue that coalesces concurrent requests into
-// micro-batches for RouteBatch. Non-default strategies bypass the queue —
-// routers are stateless and safe for concurrent use, and only the Theorem 2
-// planner has batch-amortizable state.
+// cache behind one admission gate. Every unary request — default-strategy
+// and named-strategy permutations, RouteMany entries, Execute workloads —
+// passes the same gate: a semaphore of planning slots (the planner's
+// WithParallelism workers), a wait for a free slot bounded by QueueDepth,
+// the per-tenant quotas, and a singleflight that coalesces identical
+// default-strategy permutations onto one planner invocation.
 type shard struct {
 	key shapeKey
 	svc *Service
@@ -84,38 +83,46 @@ type shard struct {
 	planner *pops.Planner
 
 	// mu orders admissions against close: admitters hold the read lock
-	// across the closed check and the queue send, so once close acquires
-	// the write lock and flips closed, no further send can race the
-	// close(reqs) that follows.
+	// across the closed check and the drain registration, so once close
+	// has flipped closed under the write lock, no request can join a drain
+	// group its closer is already waiting on.
 	mu     sync.RWMutex
 	closed bool
-	reqs   chan request
-	done   chan struct{} // closed when loop has drained and exited
+	active sync.WaitGroup // admitted unary requests not yet answered
+
+	// slots holds one token per planning slot in use; waiting counts the
+	// requests waiting for a slot or on a flight, bounded by QueueDepth.
+	slots   chan struct{}
+	waiting atomic.Int64
+
+	flightMu sync.Mutex
+	flights  map[uint64][]*flight
 
 	routersMu sync.Mutex
 	routers   map[string]pops.Router
 
 	// buckets holds the per-tenant admission quotas (TenantMix): while the
-	// queue is contended, each admission debits the tenant's bucket and each
-	// flushed entry credits every bucket by its weight share.
+	// wait is contended, each admission debits the tenant's bucket and each
+	// answered request credits every bucket by its weight share.
 	tenantMu sync.Mutex
 	buckets  map[string]*tenantBucket
 
 	requests atomic.Uint64
 	streams  atomic.Uint64
+	// batches counts planner invocations made by the gate, batched the
+	// requests they answered (joiners included), maxBatch the largest
+	// coalesced group.
 	batches  atomic.Uint64
 	batched  atomic.Uint64
 	maxBatch atomic.Uint64
 
-	// sheds counts overload rejections at this shard's bounds (queue,
-	// tenant quota, stream cap, direct cap); deadlineSheds the queued
-	// entries dropped at flush because their deadline had already passed.
+	// sheds counts overload rejections at this shard's bounds (wait bound,
+	// tenant quota, stream cap); deadlineSheds the waiters whose context
+	// expired before they got a planning slot.
 	sheds         atomic.Uint64
 	deadlineSheds atomic.Uint64
-	// activeStreams/directActive hold the live occupancy against MaxStreams
-	// and MaxDirect.
+	// activeStreams holds the live occupancy against MaxStreams.
 	activeStreams atomic.Int64
-	directActive  atomic.Int64
 }
 
 func newShard(s *Service, d, g int) (*shard, error) {
@@ -124,8 +131,9 @@ func newShard(s *Service, d, g int) (*shard, error) {
 		opts = append(opts, pops.WithPlanCache(s.cfg.CacheSize))
 	}
 	var observer pops.PlanObserver = planTimeAdapter{pt: s.tracer.Plan, d: d, g: g}
-	if user := pops.NewOptions(s.cfg.PlannerOptions...).Observer; user != nil {
-		observer = observerChain{user, observer.(planTimeAdapter)}
+	user := pops.NewOptions(s.cfg.PlannerOptions...)
+	if user.Observer != nil {
+		observer = observerChain{user.Observer, observer.(planTimeAdapter)}
 	}
 	opts = append(opts, pops.WithPlanObserver(observer))
 	planner, err := pops.NewPlanner(d, g, opts...)
@@ -136,57 +144,57 @@ func newShard(s *Service, d, g int) (*shard, error) {
 		key:     shapeKey{d, g},
 		svc:     s,
 		planner: planner,
-		reqs:    make(chan request, s.cfg.QueueDepth),
-		done:    make(chan struct{}),
+		slots:   make(chan struct{}, user.Workers()),
+		flights: make(map[uint64][]*flight),
 		routers: make(map[string]pops.Router),
 		buckets: make(map[string]*tenantBucket),
 	}, nil
 }
 
-// route admits pi and waits for its result, abandoning the wait when ctx is
-// cancelled (the admitted entry still completes within its micro-batch).
+// route serves one permutation. The default strategy plans on the shard's
+// planner and coalesces with an identical permutation already being
+// planned; a named strategy runs its router in a planning slot. The
+// returned error is request-level: a retired shard, an unknown strategy, a
+// dead context, or an overload verdict — never a planning failure, which
+// travels in Result.Err.
 func (sh *shard) route(ctx context.Context, pi []int, strategy string) (Result, error) {
-	ch, err := sh.admit(ctx, pi, strategy)
+	if strategy == "" || strategy == pops.StrategyTheoremTwo {
+		return sh.gate(ctx, pi, func(ctx context.Context) (Result, error) {
+			return sh.plan(ctx, pops.Permutation(pi))
+		})
+	}
+	r, err := sh.routerFor(strategy)
 	if err != nil {
 		return Result{}, err
 	}
-	select {
-	case res := <-ch:
-		// An entry shed at flush because its own context expired is a
-		// request-level outcome (the caller's deadline, not a planning
-		// failure), normalized here so both select arms agree.
-		if res.Err != nil && ctx.Err() != nil && errors.Is(res.Err, ctx.Err()) {
-			return Result{}, res.Err
+	return sh.gate(ctx, nil, func(ctx context.Context) (Result, error) {
+		// Routers have no internal phase hooks, so their whole routing time
+		// is the factorize phase and one plan-time observation.
+		start := time.Now()
+		plan, err := r.Route(pi)
+		dur := time.Since(start)
+		obs.SpanFromContext(ctx).Add(obs.PhaseFactorize, dur)
+		if plan != nil {
+			sh.svc.tracer.Plan.Observe(sh.key.d, sh.key.g, plan.Strategy, false, dur)
 		}
-		return res, nil
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
+		return Result{Plan: plan, Err: err}, nil
+	})
 }
 
-// execute runs a non-permutation workload directly on the shard's planner,
-// bypassing the micro-batching queue: the planner's own worker pool and
-// plan cache provide the amortization for these kinds.
+// execute serves one non-permutation workload through the gate; the
+// planner's plan cache answers recurring workloads.
 func (sh *shard) execute(ctx context.Context, w pops.Workload) (Result, error) {
-	tenant := pops.TenantFromContext(ctx)
-	sh.mu.RLock()
-	if sh.closed {
-		sh.mu.RUnlock()
-		return Result{}, errShardRetired
-	}
-	if !sh.acquireDirect() {
-		sh.mu.RUnlock()
-		return Result{}, sh.shed(tenant, "direct")
-	}
-	sh.requests.Add(1)
-	sh.svc.tenant(tenant).admitted.Add(1)
-	sh.mu.RUnlock()
-	defer sh.releaseDirect()
+	return sh.gate(ctx, nil, func(ctx context.Context) (Result, error) {
+		return sh.plan(ctx, w)
+	})
+}
+
+// plan executes w on the shard's planner. Context errors are request-level:
+// the caller went away and nothing was planned. Workload errors (bad
+// permutations, bad speakers) stay per-entry.
+func (sh *shard) plan(ctx context.Context, w pops.Workload) (Result, error) {
 	plan, cached, err := sh.planner.ExecuteCached(ctx, w)
 	if err != nil {
-		// Context errors are request-level: the caller went away, nothing
-		// was planned. Workload errors (bad requests, bad speaker) stay
-		// per-entry like planning failures of the batch path.
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
 		}
@@ -195,87 +203,204 @@ func (sh *shard) execute(ctx context.Context, w pops.Workload) (Result, error) {
 	return Result{Plan: plan, Cached: cached}, nil
 }
 
-// admit enqueues pi on the micro-batching queue (default strategy) or
-// dispatches it to the named strategy router, returning the channel its
-// Result will arrive on. The returned error is request-level: a retired
-// shard, an unknown strategy, or an overload verdict — never a planning
-// failure. The queue send never blocks: a full queue (or an exhausted
-// tenant quota while the queue is contended) sheds the request immediately
-// with a typed *pops.OverloadError, so callers learn to back off in
-// admission time rather than queueing time. ctx's trace span (if any) rides
-// along: queued requests charge the wait to the queue phase, and strategy
-// routers — which have no internal phase hooks — charge their whole routing
-// time to the factorize phase. The channel hand-off orders the goroutines'
-// span writes before the admitting request reads them.
-func (sh *shard) admit(ctx context.Context, pi []int, strategy string) (chan Result, error) {
-	ch := make(chan Result, 1)
-	sp := obs.SpanFromContext(ctx)
-	tenant := pops.TenantFromContext(ctx)
-	if strategy != "" && strategy != pops.StrategyTheoremTwo {
-		r, err := sh.routerFor(strategy)
-		if err != nil {
-			return nil, err
-		}
-		if !sh.acquireDirect() {
-			return nil, sh.shed(tenant, "direct")
-		}
-		sh.requests.Add(1)
-		sh.svc.tenant(tenant).admitted.Add(1)
-		go func() {
-			defer sh.releaseDirect()
-			start := time.Now()
-			plan, rerr := r.Route(pi)
-			dur := time.Since(start)
-			sp.Add(obs.PhaseFactorize, dur)
-			if plan != nil {
-				sh.svc.tracer.Plan.Observe(sh.key.d, sh.key.g, plan.Strategy, false, dur)
-			}
-			ch <- Result{Plan: plan, Err: rerr}
-		}()
-		return ch, nil
-	}
+// enter runs the admission checks every request shares, streams included:
+// it refuses an already-expired context, a retired shard and an exhausted
+// tenant quota, and registers the request with the drain group wg. It
+// reports whether a tenant token was debited, so a later refusal can
+// refund it.
+func (sh *shard) enter(ctx context.Context, tenant string, wg *sync.WaitGroup) (debited bool, err error) {
 	if err := ctx.Err(); err != nil {
 		// The caller is already gone (deadline passed or hung up); refuse
-		// the queue slot rather than planning for nobody.
-		return nil, err
+		// rather than planning for nobody.
+		return false, err
 	}
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	if sh.closed {
-		sh.mu.RUnlock()
-		return nil, errShardRetired
+		return false, errShardRetired
 	}
 	debited, ok := sh.tenantAdmit(tenant)
 	if !ok {
-		sh.mu.RUnlock()
-		return nil, sh.shed(tenant, "admission")
+		return false, sh.shed(tenant, "admission")
 	}
-	select {
-	case sh.reqs <- request{ctx: ctx, pi: pi, tenant: tenant, done: ch, sp: sp, at: time.Now()}:
-		sh.requests.Add(1)
-		sh.svc.tenant(tenant).admitted.Add(1)
-		sh.mu.RUnlock()
-		return ch, nil
-	default:
-		sh.mu.RUnlock()
-		if debited {
-			sh.refundTenant(tenant)
+	wg.Add(1)
+	return debited, nil
+}
+
+// gate admits one unary request and runs plan in a planning slot. A free
+// slot is taken at once; otherwise the request waits, and the wait is
+// bounded: past QueueDepth waiters the request sheds immediately with a
+// typed *pops.OverloadError, so callers learn to back off in admission
+// time rather than queueing time. A waiter whose context ends before it
+// gets a slot is a deadline shed and never reaches the planner.
+//
+// pi non-nil marks a default-strategy permutation: it joins an identical
+// permutation already being planned (a joiner counts against the wait
+// bound and abandons only its own wait when its context ends), or else
+// plans as a flight under context.WithoutCancel(ctx), so its joiners get
+// their answer whatever happens to the request that started it. The wait
+// is charged to the span's queue phase.
+func (sh *shard) gate(ctx context.Context, pi []int, plan func(context.Context) (Result, error)) (Result, error) {
+	tenant := pops.TenantFromContext(ctx)
+	debited, err := sh.enter(ctx, tenant, &sh.active)
+	if err != nil {
+		return Result{}, err
+	}
+	defer sh.active.Done()
+	start := time.Now()
+	var fp uint64
+	if pi != nil {
+		fp = pops.PermutationFingerprint(pi)
+		sh.flightMu.Lock()
+		if f := sh.flightLocked(fp, pi); f != nil {
+			if !sh.reserveWait() {
+				sh.flightMu.Unlock()
+				return Result{}, sh.refuse(tenant, "admission", debited)
+			}
+			f.joiners++
+			sh.flightMu.Unlock()
+			sh.admitted(tenant)
+			return sh.await(ctx, f, start)
 		}
-		return nil, sh.shed(tenant, "admission")
+		sh.flightMu.Unlock()
+	}
+
+	if err := sh.acquire(ctx, tenant, debited, start); err != nil {
+		return Result{}, err
+	}
+	obs.SpanFromContext(ctx).Add(obs.PhaseQueue, time.Since(start))
+
+	if pi == nil {
+		res, err := plan(ctx)
+		<-sh.slots
+		sh.answered(1)
+		return res, err
+	}
+	sh.flightMu.Lock()
+	if f := sh.flightLocked(fp, pi); f != nil {
+		// Another slot started the same permutation while this one waited.
+		f.joiners++
+		sh.waiting.Add(1)
+		sh.flightMu.Unlock()
+		<-sh.slots
+		return sh.await(ctx, f, time.Now())
+	}
+	f := &flight{pi: pi, done: make(chan struct{})}
+	sh.flights[fp] = append(sh.flights[fp], f)
+	sh.flightMu.Unlock()
+
+	// Without cancellation planning cannot fail at the request level: every
+	// outcome, planning errors included, is in the Result.
+	f.res, _ = plan(context.WithoutCancel(ctx))
+
+	sh.flightMu.Lock()
+	if rest := slices.DeleteFunc(sh.flights[fp], func(o *flight) bool { return o == f }); len(rest) > 0 {
+		sh.flights[fp] = rest
+	} else {
+		delete(sh.flights, fp)
+	}
+	joiners := f.joiners
+	sh.flightMu.Unlock()
+	close(f.done)
+	<-sh.slots
+	sh.answered(1 + joiners)
+	return f.res, nil
+}
+
+// acquire takes a planning slot for a request that passed enter: a free one
+// at once, else after a wait within the QueueDepth bound. It sheds the
+// request when the wait is full, and counts a deadline shed when ctx ends
+// before a slot frees.
+func (sh *shard) acquire(ctx context.Context, tenant string, debited bool, start time.Time) error {
+	select {
+	case sh.slots <- struct{}{}:
+		sh.admitted(tenant)
+		return nil
+	default:
+	}
+	if !sh.reserveWait() {
+		return sh.refuse(tenant, "admission", debited)
+	}
+	sh.admitted(tenant)
+	defer sh.waiting.Add(-1)
+	select {
+	case sh.slots <- struct{}{}:
+		if ctx.Err() == nil {
+			return nil
+		}
+		<-sh.slots
+	case <-ctx.Done():
+	}
+	obs.SpanFromContext(ctx).Add(obs.PhaseQueue, time.Since(start))
+	sh.deadlineSheds.Add(1)
+	sh.svc.tenant(tenant).deadlineShed.Add(1)
+	return ctx.Err()
+}
+
+// flightLocked returns the flight planning exactly pi, if any. Callers hold
+// flightMu.
+func (sh *shard) flightLocked(fp uint64, pi []int) *flight {
+	for _, f := range sh.flights[fp] {
+		if perms.Equal(f.pi, pi) {
+			return f
+		}
+	}
+	return nil
+}
+
+// await waits for a joined flight's result; the joiner's own context ending
+// abandons only its wait, never the flight.
+func (sh *shard) await(ctx context.Context, f *flight, start time.Time) (Result, error) {
+	defer func() {
+		sh.waiting.Add(-1)
+		obs.SpanFromContext(ctx).Add(obs.PhaseQueue, time.Since(start))
+	}()
+	select {
+	case <-f.done:
+		return f.res, nil
+	case <-ctx.Done():
+		return Result{}, ctx.Err()
 	}
 }
 
-// acquireDirect claims one direct-path slot (strategy routers, workload
-// execution), reporting false when MaxDirect is configured and exhausted.
-func (sh *shard) acquireDirect() bool {
-	n := sh.directActive.Add(1)
-	if max := sh.svc.cfg.MaxDirect; max > 0 && n > int64(max) {
-		sh.directActive.Add(-1)
+// reserveWait claims one position in the gate's bounded wait, reporting
+// false when QueueDepth requests are already waiting.
+func (sh *shard) reserveWait() bool {
+	if sh.waiting.Add(1) > int64(sh.svc.cfg.QueueDepth) {
+		sh.waiting.Add(-1)
 		return false
 	}
 	return true
 }
 
-func (sh *shard) releaseDirect() { sh.directActive.Add(-1) }
+// admitted counts one request past the gate's bounds.
+func (sh *shard) admitted(tenant string) {
+	sh.requests.Add(1)
+	sh.svc.tenant(tenant).admitted.Add(1)
+}
+
+// answered records one planner invocation that answered n requests and
+// credits the tenant buckets with the service it delivered.
+func (sh *shard) answered(n uint64) {
+	sh.batches.Add(1)
+	sh.batched.Add(n)
+	for {
+		cur := sh.maxBatch.Load()
+		if n <= cur || sh.maxBatch.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	sh.creditTenants(n)
+}
+
+// refuse sheds a request that passed enter at the named bound, refunding
+// its tenant token.
+func (sh *shard) refuse(tenant, queue string, debited bool) error {
+	if debited {
+		sh.refundTenant(tenant)
+	}
+	return sh.shed(tenant, queue)
+}
 
 // acquireStream claims one concurrent-stream slot, reporting false when
 // MaxStreams is configured and exhausted. Stream.Close releases it.
@@ -296,40 +421,29 @@ func (sh *shard) releaseStream() { sh.activeStreams.Add(-1) }
 func (sh *shard) shed(tenant, queue string) error {
 	sh.sheds.Add(1)
 	sh.svc.tenant(tenant).shed.Add(1)
+	ewma := sh.svc.tracer.Plan.EWMA(sh.key.d, sh.key.g, pops.StrategyTheoremTwo)
 	return &pops.OverloadError{
 		D: sh.key.d, G: sh.key.g, Tenant: tenant, Queue: queue,
-		RetryAfter: sh.retryAfterHint(),
+		RetryAfter: retryAfter(ewma, int(sh.waiting.Load()), cap(sh.slots)),
 	}
 }
 
-// retryAfterHint estimates when the shard can admit again: the queued
-// batches ahead times the measured per-batch plan time (the plan-time EWMA,
-// floored at BatchDelay before any measurement exists), clamped to a sane
-// advertisable range.
-func (sh *shard) retryAfterHint() time.Duration {
-	per := sh.svc.tracer.Plan.EWMA(sh.key.d, sh.key.g, pops.StrategyTheoremTwo)
-	if per < sh.svc.cfg.BatchDelay {
-		per = sh.svc.cfg.BatchDelay
-	}
-	batches := time.Duration(len(sh.reqs)/sh.svc.cfg.BatchSize + 1)
-	hint := batches * per
-	if hint < 5*time.Millisecond {
-		hint = 5 * time.Millisecond
-	}
-	if hint > 2*time.Second {
-		hint = 2 * time.Second
-	}
-	return hint
+// retryAfter estimates when a shard can admit again: the rounds of slots
+// the current waiters fill, plus one, times the measured plan time (the
+// plan-time EWMA), clamped to a sane advertisable range.
+func retryAfter(ewma time.Duration, waiters, slots int) time.Duration {
+	hint := time.Duration(waiters/slots+1) * ewma
+	return min(max(hint, 5*time.Millisecond), 2*time.Second)
 }
 
-// tenantAdmit charges one queue slot to the tenant's bucket. While the
-// queue is uncontended (less than half full) admission is free — quotas
-// only bite when tenants are actually competing for queue service, so an
-// idle shard never throttles a bursty tenant. It reports whether a token
-// was debited (so a failed queue send can refund it) and whether the
+// tenantAdmit charges one admission to the tenant's bucket. While the
+// gate's wait is uncontended (less than half full) admission is free —
+// quotas only bite when tenants are actually competing for planning slots,
+// so an idle shard never throttles a bursty tenant. It reports whether a
+// token was debited (so a later refusal can refund it) and whether the
 // admission may proceed.
 func (sh *shard) tenantAdmit(tenant string) (debited, ok bool) {
-	if len(sh.reqs)*2 < cap(sh.reqs) {
+	if sh.waiting.Load()*2 < int64(sh.svc.cfg.QueueDepth) {
 		return false, true
 	}
 	sh.tenantMu.Lock()
@@ -356,28 +470,21 @@ func (sh *shard) bucketLocked(tenant string) *tenantBucket {
 }
 
 // burstLocked is the most tokens one bucket may hold: the tenant's weight
-// share of the queue depth, floored at 1 so every tenant can always make
+// share of the wait bound, floored at 1 so every tenant can always make
 // progress. Callers hold tenantMu.
 func (sh *shard) burstLocked(b *tenantBucket) float64 {
 	var total float64
 	for _, o := range sh.buckets {
 		total += o.weight
 	}
-	burst := float64(cap(sh.reqs)) * b.weight / total
-	if burst < 1 {
-		burst = 1
-	}
-	return burst
+	return max(float64(sh.svc.cfg.QueueDepth)*b.weight/total, 1)
 }
 
-// creditTenants distributes n units of completed queue service across the
-// tenants by weight — the bucket refill is the queue's measured drain rate,
-// so a tenant's sustained admission rate converges on its weighted-fair
-// share of whatever the planner can actually serve.
-func (sh *shard) creditTenants(n int) {
-	if n <= 0 {
-		return
-	}
+// creditTenants distributes n answered requests across the tenants by
+// weight — the bucket refill is the gate's measured service rate, so a
+// tenant's sustained admission rate converges on its weighted-fair share of
+// whatever the planner can actually serve.
+func (sh *shard) creditTenants(n uint64) {
 	sh.tenantMu.Lock()
 	defer sh.tenantMu.Unlock()
 	if len(sh.buckets) == 0 {
@@ -388,14 +495,11 @@ func (sh *shard) creditTenants(n int) {
 		total += b.weight
 	}
 	for _, b := range sh.buckets {
-		b.tokens += float64(n) * b.weight / total
-		if burst := sh.burstLocked(b); b.tokens > burst {
-			b.tokens = burst
-		}
+		b.tokens = min(b.tokens+float64(n)*b.weight/total, sh.burstLocked(b))
 	}
 }
 
-// refundTenant returns one debited token after a failed queue send.
+// refundTenant returns one debited token after a refused admission.
 func (sh *shard) refundTenant(tenant string) {
 	sh.tenantMu.Lock()
 	if b := sh.buckets[tenant]; b != nil {
@@ -419,168 +523,12 @@ func (sh *shard) routerFor(strategy string) (pops.Router, error) {
 	return r, nil
 }
 
-// close stops admissions and closes the queue; the loop drains whatever is
-// already buffered and exits. Idempotent.
+// close stops admissions; requests admitted before it still complete, and
+// active.Wait waits for them. Idempotent.
 func (sh *shard) close() {
 	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return
-	}
 	sh.closed = true
 	sh.mu.Unlock()
-	close(sh.reqs)
-}
-
-// loop is the shard's admission loop: it collects requests into a batch
-// until the batch is full or BatchDelay has passed since the batch opened,
-// then flushes the batch onto the planner. A closed queue delivers its
-// buffered requests first, so shutdown drains in-flight work before the
-// loop exits.
-func (sh *shard) loop() {
-	defer sh.svc.wg.Done()
-	defer close(sh.done)
-	size := sh.svc.cfg.BatchSize
-	delay := sh.svc.cfg.BatchDelay
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var batch []request
-	for {
-		req, ok := <-sh.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-		timer.Reset(delay)
-		timerDrained := false
-	fill:
-		for len(batch) < size {
-			select {
-			case r, ok := <-sh.reqs:
-				if !ok {
-					// Queue closed and empty: flush what we have; the
-					// next outer receive observes the close and exits.
-					break fill
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				timerDrained = true
-				break fill
-			}
-		}
-		if !timerDrained && !timer.Stop() {
-			<-timer.C
-		}
-		sh.flush(batch)
-	}
-}
-
-// flush coalesces the batch's duplicate permutations (so N concurrent
-// identical requests cost at most one planner invocation), plans the unique
-// ones through Planner.RouteBatchCached, and fans the per-index results back
-// out to every waiter.
-func (sh *shard) flush(batch []request) {
-	n := uint64(len(batch))
-	sh.batches.Add(1)
-	sh.batched.Add(n)
-	for {
-		cur := sh.maxBatch.Load()
-		if n <= cur || sh.maxBatch.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-
-	// Charge each waiter's queue delay — admission to flush start — to its
-	// span's queue phase, whether or not its permutation dedups away. An
-	// entry whose context has already expired is shed here, before the
-	// planner sees it: its caller has given up (or its propagated deadline
-	// passed while queued), so planning it would burn a worker on a result
-	// nobody reads. The shed entry's waiter receives the context error.
-	flushStart := time.Now()
-	live := batch[:0]
-	for _, r := range batch {
-		r.sp.Add(obs.PhaseQueue, flushStart.Sub(r.at))
-		if r.ctx != nil && r.ctx.Err() != nil {
-			sh.deadlineSheds.Add(1)
-			sh.svc.tenant(r.tenant).deadlineShed.Add(1)
-			r.done <- Result{Err: r.ctx.Err()}
-			continue
-		}
-		live = append(live, r)
-	}
-	batch = live
-	defer sh.creditTenants(len(batch))
-	if len(batch) == 0 {
-		return
-	}
-
-	uniq := make([][]int, 0, len(batch))
-	owners := make([][]int, 0, len(batch)) // unique index -> batch indices
-	byFp := make(map[uint64][]int, len(batch))
-	for bi, r := range batch {
-		fp := pops.PermutationFingerprint(r.pi)
-		idx := -1
-		for _, ui := range byFp[fp] {
-			if perms.Equal(uniq[ui], r.pi) {
-				idx = ui
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(uniq)
-			uniq = append(uniq, r.pi)
-			owners = append(owners, nil)
-			byFp[fp] = append(byFp[fp], idx)
-		}
-		owners[idx] = append(owners[idx], bi)
-	}
-
-	// Each unique entry plans under the span of its first owner, so the
-	// cache and factorize phases land on the request that triggered the
-	// planning; duplicate waiters share the result but record no plan
-	// phases of their own. The done-channel send orders those span writes
-	// before the owning request reads its span back.
-	ctxs := make([]context.Context, len(uniq))
-	for ui, bis := range owners {
-		if sp := batch[bis[0]].sp; sp != nil {
-			ctxs[ui] = obs.ContextWithSpan(context.Background(), sp)
-		}
-	}
-
-	plans, cached, err := sh.planner.RouteBatchContexts(ctxs, uniq)
-	errs := perIndexErrors(err, len(uniq))
-	for ui := range uniq {
-		res := Result{Plan: plans[ui], Cached: cached[ui], Err: errs[ui]}
-		for _, bi := range owners[ui] {
-			batch[bi].done <- res
-		}
-	}
-}
-
-// perIndexErrors redistributes a RouteBatch errors.Join aggregate back onto
-// batch indices, using the typed *pops.BatchError elements.
-func perIndexErrors(err error, n int) []error {
-	out := make([]error, n)
-	if err == nil {
-		return out
-	}
-	joined, ok := err.(interface{ Unwrap() []error })
-	if !ok {
-		for i := range out {
-			out[i] = err
-		}
-		return out
-	}
-	for _, sub := range joined.Unwrap() {
-		var be *pops.BatchError
-		if errors.As(sub, &be) && be.Index >= 0 && be.Index < n {
-			out[be.Index] = be.Err
-		}
-	}
-	return out
 }
 
 // stats snapshots the shard's counters.
@@ -594,8 +542,8 @@ func (sh *shard) stats() wire.ShardStats {
 		Batches:         sh.batches.Load(),
 		BatchedRequests: sh.batched.Load(),
 		MaxBatch:        sh.maxBatch.Load(),
-		QueueLen:        len(sh.reqs),
-		QueueCap:        cap(sh.reqs),
+		QueueLen:        int(sh.waiting.Load()),
+		QueueCap:        sh.svc.cfg.QueueDepth,
 		Sheds:           sh.sheds.Load(),
 		DeadlineSheds:   sh.deadlineSheds.Load(),
 		ActiveStreams:   sh.activeStreams.Load(),

@@ -12,12 +12,13 @@ import (
 )
 
 // Stream is one admitted /route/stream request: a handle that delivers the
-// plan's slot fragments as the shard's planner peels them. Streams bypass
-// the shard's micro-batching queue — each stream checks a worker planner
-// out of the shard's pops.Planner pool and runs on the caller's goroutine,
-// so the admission queue keeps admitting (and flushing) other requests
-// between Next calls, including while this stream's factorization is still
-// in progress.
+// plan's slot fragments as the shard's planner peels them. A stream passes
+// the gate's shared admission checks (closed shard, dead context, tenant
+// quota) but is capped by MaxStreams rather than the planning slots: it
+// checks a worker planner out of the shard's pops.Planner pool and runs on
+// the caller's goroutine for as long as the client reads, so the gate keeps
+// admitting other requests between Next calls, including while this
+// stream's factorization is still in progress.
 //
 // The admission context is threaded into the planner stream: cancelling it
 // stops factor production at the next Next call (the context error surfaces
@@ -81,44 +82,25 @@ func (s *Service) ExecuteStream(ctx context.Context, d, g int, w pops.Workload) 
 // admits the stream. Exactly one of w (workload streaming) and pi+strategy
 // (non-default strategy replay) is set.
 func (s *Service) admitStreamRetrying(ctx context.Context, d, g int, w pops.Workload, pi []int, strategy string) (*Stream, error) {
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return nil, err
-		}
-		st, err := sh.admitStream(ctx, w, pi, strategy)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
+	return onShard(s, d, g, func(sh *shard) (*Stream, error) { return sh.admitStream(ctx, w, pi, strategy) })
 }
 
-// admitStream checks shutdown state and the shard's concurrent-stream cap,
-// registers the stream with the service's drain group, and starts planning.
+// admitStream runs the gate's shared admission checks and the shard's
+// concurrent-stream cap, registers the stream with the service's drain
+// group, and starts planning.
 func (sh *shard) admitStream(ctx context.Context, w pops.Workload, pi []int, strategy string) (*Stream, error) {
 	svc := sh.svc
 	tenant := pops.TenantFromContext(ctx)
-	sh.mu.RLock()
-	if sh.closed {
-		sh.mu.RUnlock()
-		return nil, errShardRetired
+	debited, err := sh.enter(ctx, tenant, &svc.streamsWG)
+	if err != nil {
+		return nil, err
 	}
 	// Each open stream owns a worker planner and a goroutine's worth of
-	// factorization, so unbounded streams were the one admission path with
-	// no queue to overflow — cap them like everything else (satisfying the
-	// shed-don't-collapse invariant for /route/stream too).
+	// factorization, so streams are capped on their own bound.
 	if !sh.acquireStream() {
-		sh.mu.RUnlock()
-		return nil, sh.shed(tenant, "stream")
+		svc.streamsWG.Done()
+		return nil, sh.refuse(tenant, "stream", debited)
 	}
-	// Registered under the admission lock so a concurrent Close cannot
-	// start waiting on the drain group before this stream is counted.
-	svc.streamsWG.Add(1)
-	sh.mu.RUnlock()
 
 	st := &Stream{svc: svc, sh: sh, start: time.Now()}
 	ok := false

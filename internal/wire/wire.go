@@ -111,7 +111,7 @@ type RouteRequest struct {
 	Workload string `json:"workload,omitempty"`
 	// Tenant names the admission tenant this request is charged to (the
 	// TenantMix workload model): each tenant holds a weighted-fair share of
-	// every shard's admission queue, and /stats reports per-tenant admitted
+	// every shard's admission gate, and /stats reports per-tenant admitted
 	// and shed counters. Empty requests share the default quota. The
 	// X-Tenant header is a fallback for callers that cannot edit bodies.
 	Tenant string `json:"tenant,omitempty"`
@@ -130,8 +130,8 @@ type RouteRequest struct {
 	Faults *FaultSet `json:"faults,omitempty"`
 	// Strategy selects the routing strategy for permutation workloads
 	// ("theorem2", "greedy", "direct-optimal", "singleslot", "auto"). Empty
-	// means "theorem2", the only strategy served through the micro-batching
-	// + plan-cache path; other strategies are planned per request.
+	// means "theorem2", the only strategy served through the coalescing +
+	// plan-cache path; other strategies run their router per request.
 	// Non-permutation workloads reject a non-default strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// IncludeSchedule asks for the full slot schedule in each plan, so the
@@ -252,22 +252,24 @@ type ShardStats struct {
 	G        int    `json:"g"`
 	Requests uint64 `json:"requests"`
 	// Streams counts /route/stream requests admitted by this shard. They
-	// bypass the micro-batching queue: each stream owns a worker planner
-	// and delivers slot fragments while the queue keeps admitting.
+	// are capped by the stream limit, not the planning slots: each stream
+	// owns a worker planner and delivers slot fragments while the gate
+	// keeps admitting.
 	Streams uint64 `json:"streams,omitempty"`
-	// Batches and BatchedRequests describe the micro-batching admission
-	// queue: BatchedRequests/Batches is the mean coalesced batch size, and
-	// MaxBatch the largest flush observed.
+	// Batches counts the planner invocations made by the shard's admission
+	// gate, BatchedRequests the requests those invocations answered
+	// (coalesced joiners included), so BatchedRequests/Batches is the mean
+	// coalesced group; MaxBatch is the largest coalesced group.
 	Batches         uint64 `json:"batches"`
 	BatchedRequests uint64 `json:"batched_requests"`
 	MaxBatch        uint64 `json:"max_batch"`
-	// QueueLen/QueueCap snapshot the bounded admission queue: entries
-	// waiting for a micro-batch flush against the configured depth.
+	// QueueLen is the number of requests currently waiting at the gate (for
+	// a planning slot or on a coalesced plan); QueueCap is the wait bound.
 	QueueLen int `json:"queue_len,omitempty"`
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Sheds counts admissions this shard rejected with an overload verdict
-	// (queue full, tenant quota, stream cap); DeadlineSheds the queued
-	// entries dropped at flush because their deadline had already passed.
+	// (wait bound, tenant quota, stream cap); DeadlineSheds the waiters
+	// whose deadline passed before they got a planning slot.
 	Sheds         uint64 `json:"sheds,omitempty"`
 	DeadlineSheds uint64 `json:"deadline_sheds,omitempty"`
 	// ActiveStreams is the number of open slot streams held against the

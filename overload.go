@@ -7,8 +7,8 @@ import (
 )
 
 // OverloadError is the typed verdict of an admission-control rejection: the
-// serving side (a popsserved shard queue, its stream cap, or a popsproxy
-// concurrency limit) chose to shed this request rather than queue it beyond
+// serving side (a popsserved shard's admission gate, its stream cap, or a
+// popsproxy concurrency limit) chose to shed this request rather than queue it beyond
 // its bound. It travels over the wire as HTTP 429 + Retry-After, and
 // ServiceClient reconstructs it on the other side, so errors.As works across
 // process boundaries exactly as it does in-process.
@@ -24,10 +24,10 @@ type OverloadError struct {
 	// Tenant is the admission tenant the rejection was charged to, when the
 	// request carried one.
 	Tenant string
-	// Queue names the bound that rejected: "admission" (the micro-batch
-	// queue), "stream" (the per-shard concurrent-stream cap), "direct" (the
-	// non-batched workload/strategy path), or "backend" (a proxy-side
-	// per-backend concurrency limit).
+	// Queue names the bound that rejected: "admission" (the shard's
+	// admission gate: its bounded wait for a planning slot, or a tenant
+	// quota), "stream" (the per-shard concurrent-stream cap), or "backend"
+	// (a proxy-side per-backend concurrency limit).
 	Queue string
 	// RetryAfter is the server's backoff hint: how long the shedding layer
 	// expects to need before it can admit again.

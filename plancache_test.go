@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -138,29 +139,35 @@ func TestPlanCacheConcurrentRouteIsRaceFreeAndCorrect(t *testing.T) {
 	}
 }
 
-func TestRouteBatchCachedReportsAttribution(t *testing.T) {
+func TestExecuteCachedReportsAttribution(t *testing.T) {
 	p, err := NewPlanner(4, 4, WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := VectorReversal(16)
-	other := IdentityPermutation(16)
-	plans, cached, err := p.RouteBatchCached([][]int{pi, other})
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	pis := [][]int{VectorReversal(16), IdentityPermutation(16)}
+	plans := make([]*Plan, len(pis))
+	for i, pi := range pis {
+		plan, cached, err := p.ExecuteCached(ctx, Permutation(pi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached {
+			t.Fatalf("cold permutation %d reported a cache hit", i)
+		}
+		plans[i] = plan
 	}
-	if cached[0] || cached[1] {
-		t.Fatalf("cold batch reported cache hits: %v", cached)
-	}
-	plans2, cached2, err := p.RouteBatchCached([][]int{pi, other})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached2[0] || !cached2[1] {
-		t.Fatalf("warm batch missed the cache: %v", cached2)
-	}
-	if plans2[0] != plans[0] || plans2[1] != plans[1] {
-		t.Fatal("warm batch returned different plan pointers")
+	for i, pi := range pis {
+		plan, cached, err := p.ExecuteCached(ctx, Permutation(pi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached {
+			t.Fatalf("warm permutation %d missed the cache", i)
+		}
+		if plan != plans[i] {
+			t.Fatalf("warm permutation %d returned a different plan pointer", i)
+		}
 	}
 }
 

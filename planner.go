@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pops/internal/core"
-	"pops/internal/obs"
 	"pops/internal/perms"
 )
 
@@ -83,39 +82,28 @@ func (p *Planner) observePlan(strategy string, cached bool, start time.Time) {
 	}
 }
 
-// routeOne plans pi through the fingerprint cache when one is configured:
-// a verified hit skips planning entirely, a miss plans and memoizes. The
-// returned bool reports whether the plan came from the cache. Cache lookup
-// and memoization are attributed to the cache phase of ctx's trace span;
-// the planning itself records its own phases inside PlanCtx.
-func (p *Planner) routeOne(ctx context.Context, pl *core.Planner, pi []int) (*Plan, bool, error) {
+// routeOne plans pi on the worker pl through the fingerprint cache when one
+// is configured: a verified hit skips planning entirely, a miss plans and
+// memoizes.
+func (p *Planner) routeOne(pl *core.Planner, pi []int) (*Plan, error) {
 	start := time.Now()
-	if p.cache == nil {
-		plan, err := pl.PlanCtx(ctx, pi)
-		if err != nil {
-			return nil, false, err
+	var fp uint64
+	if p.cache != nil {
+		fp = perms.Fingerprint(pi)
+		if plan, ok := p.cache.get(fp, cacheKindPermutation, pi); ok {
+			p.observePlan(plan.Strategy, true, start)
+			return plan, nil
 		}
-		p.observePlan(plan.Strategy, false, start)
-		return plan, false, nil
 	}
-	sp := obs.SpanFromContext(ctx)
-	sp.Begin(obs.PhaseCache)
-	fp := perms.Fingerprint(pi)
-	plan, ok := p.cache.get(fp, cacheKindPermutation, pi)
-	sp.End()
-	if ok {
-		p.observePlan(plan.Strategy, true, start)
-		return plan, true, nil
-	}
-	plan, err := pl.PlanCtx(ctx, pi)
+	plan, err := pl.PlanCtx(context.Background(), pi)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	sp.Begin(obs.PhaseCache)
-	p.cache.put(fp, cacheKindPermutation, pi, plan)
-	sp.End()
+	if p.cache != nil {
+		p.cache.put(fp, cacheKindPermutation, pi, plan)
+	}
 	p.observePlan(plan.Strategy, false, start)
-	return plan, false, nil
+	return plan, nil
 }
 
 // Route plans the Theorem 2 routing of pi, reusing the planner's internal
@@ -189,41 +177,13 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // failing index (nil when every permutation planned). With WithPlanCache,
 // each permutation is first looked up in the fingerprint cache.
 func (p *Planner) RouteBatch(pis [][]int) ([]*Plan, error) {
-	plans, _, err := p.RouteBatchCached(pis)
-	return plans, err
-}
-
-// RouteBatchCached is RouteBatch plus per-index cache attribution: cached[i]
-// reports whether plans[i] was answered from the fingerprint plan cache
-// (always false without WithPlanCache). It is the primitive the serving
-// layer batches onto, where hit/miss visibility is part of the response.
-func (p *Planner) RouteBatchCached(pis [][]int) (plans []*Plan, cached []bool, err error) {
-	return p.RouteBatchContexts(nil, pis)
-}
-
-// RouteBatchContexts is RouteBatchCached with one context per entry, so a
-// batch assembled from independent requests (the serving layer's micro-batch
-// queue) keeps per-request cancellation and trace-span attribution: entry
-// i's cache lookup and planning phases are recorded on ctxs[i]'s span.
-// ctxs may be nil (every entry runs under context.Background()) or must
-// match pis in length; individual nil entries also fall back to Background.
-func (p *Planner) RouteBatchContexts(ctxs []context.Context, pis [][]int) (plans []*Plan, cached []bool, err error) {
-	if ctxs != nil && len(ctxs) != len(pis) {
-		return nil, nil, fmt.Errorf("pops: %d contexts for %d permutations", len(ctxs), len(pis))
-	}
-	plans = make([]*Plan, len(pis))
-	cached = make([]bool, len(pis))
+	plans := make([]*Plan, len(pis))
 	errs := make([]error, len(pis))
 	core.ForEach(p.par, len(pis), p.acquire, p.release, func(pl *core.Planner, i int) {
-		ctx := context.Background()
-		if ctxs != nil && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		var planErr error
-		plans[i], cached[i], planErr = p.routeOne(ctx, pl, pis[i])
-		if planErr != nil {
-			errs[i] = &BatchError{Index: i, Err: planErr}
+		var err error
+		if plans[i], err = p.routeOne(pl, pis[i]); err != nil {
+			errs[i] = &BatchError{Index: i, Err: err}
 		}
 	})
-	return plans, cached, errors.Join(errs...)
+	return plans, errors.Join(errs...)
 }
