@@ -17,6 +17,23 @@ vet:
 # The tier-1 gate: build, vet, test — what every change must keep green.
 tier1: build vet test
 
+# run-tests runs `go test -run '$(1)' $(2) $(3)` ($(2) flags, $(3)
+# packages) once the pattern is proven live: every named package must hold a
+# test it matches, and so must every |-separated alternative across the
+# packages. go test alone exits 0 with "[no tests to run]" when a pattern
+# matches nothing, so a renamed test would otherwise silently gate nothing.
+define run-tests
+	@for pkg in $(3); do \
+		go test -list '$(1)' $$pkg | grep -Eq '^(Test|Example|Fuzz)' || \
+			{ echo "-run '$(1)' matches no test in $$pkg" >&2; exit 1; }; \
+	done; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		go test -list "$$alt" $(3) | grep -Eq '^(Test|Example|Fuzz)' || \
+			{ echo "-run alternative '$$alt' matches no test in $(3)" >&2; exit 1; }; \
+	done
+	go test -run '$(1)' $(2) $(3)
+endef
+
 race:
 	go test -race . ./internal/popsnet ./internal/obs ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
 
@@ -31,7 +48,7 @@ race:
 # h-relation workload through /route/stream the same way — >= 2 chunks, and
 # a workload plan cache hit when the identical relation is streamed again.
 serve-smoke:
-	go test -run 'TestServeSmoke|TestServeSmokeStream' -count=1 -v ./cmd/popsserved
+	$(call run-tests,TestServeSmoke|TestServeSmokeStream,-count=1 -v,./cmd/popsserved)
 
 # End-to-end cluster smoke: boot three in-process popsserved backends and a
 # popsproxy front door, drive a permutation trace through the unchanged
@@ -42,7 +59,7 @@ serve-smoke:
 # TestClusterSmokeStreamBinary pins the codec to binary end to end — the
 # proxy must relay the backends' binary framing intact.
 cluster-smoke:
-	go test -run 'TestClusterSmoke' -count=1 -v ./cmd/popsproxy
+	$(call run-tests,TestClusterSmoke,-count=1 -v,./cmd/popsproxy)
 
 # End-to-end fault-tolerance smoke: round-trip a FaultyPermutation workload
 # through a live popsserved, verify the served schedule on the fault-injected
@@ -50,7 +67,7 @@ cluster-smoke:
 # cache hit and the /stats fault counters moved, and assert a dead-group
 # request comes back as a typed *pops.UnroutableError across the wire.
 fault-smoke:
-	go test -run 'TestFaultSmoke' -count=1 -v ./cmd/popsserved
+	$(call run-tests,TestFaultSmoke,-count=1 -v,./cmd/popsserved)
 
 # End-to-end overload smoke: two throttled popsserved backends behind a
 # popsproxy, a 4x load ramp with one backend degraded to 200ms per request.
@@ -60,8 +77,8 @@ fault-smoke:
 # once the slowness lifts. The shed-don't-collapse and tenant-fairness
 # properties are covered in-process by ./internal/chaos.
 overload-smoke:
-	go test -run 'TestOverloadSmoke' -count=1 -v ./cmd/popsproxy
-	go test -run 'TestOverloadShedsDontCollapse|TestTenantWeightedFairness' -count=1 -v ./internal/chaos
+	$(call run-tests,TestOverloadSmoke,-count=1 -v,./cmd/popsproxy)
+	$(call run-tests,TestOverloadShedsDontCollapse|TestTenantWeightedFairness,-count=1 -v,./internal/chaos)
 
 # End-to-end observability smoke: boot popsserved with a -debug-addr
 # listener, route a permutation under a caller-chosen X-Request-Id, and
@@ -70,7 +87,7 @@ overload-smoke:
 # traced request lands in GET /debug/slow, and the debug listener answers
 # both /metrics and net/http/pprof.
 obs-smoke:
-	go test -run 'TestObsSmoke' -count=1 -v ./cmd/popsserved
+	$(call run-tests,TestObsSmoke,-count=1 -v,./cmd/popsserved)
 
 # Record a BENCH_<date>.json with the benchmark set the baselines use.
 # Override the output or note: make bench BENCH_OUT=BENCH_x.json BENCH_NOTE="..."
@@ -86,11 +103,11 @@ bench-smoke:
 # The steady-state allocation guard of the coloring engine: fails if
 # Factorizer/Matcher/Splitter reuse regresses past the alloc budget. The
 # streaming path is covered too: a warmed Stream drain allocates nothing
-# beyond its handle, and RouteStream+Collect stays within Route's budget
+# beyond its handle, and ExecuteStream+Collect stays within Execute's budget
 # plus the fixed stream handles. TestHRelationPooledAllocBudget guards the
 # pooled h-relation path of Execute: steady state must stay under half the
-# allocations of the per-call RouteHRelation it supersedes (the measured
-# delta is recorded in BENCH_2026-07-30_hrelation.json). The tracing layer
+# allocations of a fresh Planner per call (the measured delta is recorded
+# in BENCH_2026-07-30_hrelation.json). The tracing layer
 # rides the same gate: span recording, the tracer's pooled Start/Finish
 # cycle, plan-time Observe on an existing key, and a traced plan-cache hit
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
@@ -98,8 +115,7 @@ bench-smoke:
 # 0 allocs/op in steady state (the measured codec delta is recorded in
 # BENCH_2026-08-08_wirebin.json).
 alloc-guard:
-	go test -run 'TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree' \
-		-count=1 ./internal/edgecolor ./internal/matching ./internal/graph
-	go test -run 'TestSpanAllocBudget|TestPlanTimesObserveAllocBudget' -count=1 ./internal/obs
-	go test -run 'TestWireEncodeAllocBudget|TestReframerAllocBudget' -count=1 ./internal/wirebin
-	go test -run 'TestRouteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget' -count=1 .
+	$(call run-tests,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,-count=1,./internal/edgecolor ./internal/matching ./internal/graph)
+	$(call run-tests,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,-count=1,./internal/obs)
+	$(call run-tests,TestWireEncodeAllocBudget|TestReframerAllocBudget,-count=1,./internal/wirebin)
+	$(call run-tests,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,-count=1,.)

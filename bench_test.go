@@ -83,10 +83,20 @@ func BenchmarkE7Theorem2VsGreedy(b *testing.B) {
 	})
 }
 
-// BenchmarkPlannerReuse compares one-shot Route calls (network validation
-// and fresh scratch buffers every time) against a reused Planner, which
-// validates once and recycles its demand graph and invariant tables. The
-// planner side must show fewer allocs/op.
+// planOnce plans pi on a fresh Planner: the one-shot, nothing-reused
+// baseline the pooled paths are measured against.
+func planOnce(d, g int, pi []int) (*Plan, error) {
+	p, err := NewPlanner(d, g)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(context.Background(), Permutation(pi))
+}
+
+// BenchmarkPlannerReuse compares one-shot planning (a fresh Planner per
+// call: network validation and fresh scratch buffers every time) against a
+// reused Planner, which validates once and recycles its demand graph and
+// invariant tables. The planner side must show fewer allocs/op.
 func BenchmarkPlannerReuse(b *testing.B) {
 	for _, s := range []struct{ d, g int }{{8, 8}, {32, 32}, {16, 64}} {
 		rng := rand.New(rand.NewSource(6))
@@ -94,7 +104,7 @@ func BenchmarkPlannerReuse(b *testing.B) {
 		b.Run(fmt.Sprintf("route-percall/d=%d/g=%d", s.d, s.g), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Route(s.d, s.g, pi); err != nil {
+				if _, err := planOnce(s.d, s.g, pi); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,29 +114,13 @@ func BenchmarkPlannerReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Route(pi); err != nil { // warm the buffer free list
+			if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil { // warm the buffer free list
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("planner-nocopy/d=%d/g=%d", s.d, s.g), func(b *testing.B) {
-			p, err := NewPlanner(s.d, s.g, WithPlanNoCopy())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.Route(pi); err != nil { // warm the buffer free list
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
+				if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,8 +129,8 @@ func BenchmarkPlannerReuse(b *testing.B) {
 }
 
 // BenchmarkRouteBatch plans a fixed batch of permutations per iteration:
-// once per-call through the facade Route (the pre-Planner API shape), then
-// through Planner.RouteBatch at parallelism 1, 4, and GOMAXPROCS. The batch
+// once per-call through a fresh Planner each (the pre-Planner API shape),
+// then through Planner.RouteBatch at parallelism 1, 4, and GOMAXPROCS. The batch
 // path must show fewer allocs/op than the per-call path.
 func BenchmarkRouteBatch(b *testing.B) {
 	const d, g, batch = 16, 16, 64
@@ -149,7 +143,7 @@ func BenchmarkRouteBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, pi := range pis {
-				if _, err := Route(d, g, pi); err != nil {
+				if _, err := planOnce(d, g, pi); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,8 +175,8 @@ func BenchmarkRouteBatch(b *testing.B) {
 
 // BenchmarkTimeToFirstSlot measures the streaming pipeline's headline win:
 // time until the first slot fragment of a plan is usable. route-full is the
-// baseline — a batch Route call, whose first slot is only ready when the
-// whole plan is; stream-first-slot runs RouteStream until the first Next
+// baseline — a batch Execute call, whose first slot is only ready when the
+// whole plan is; stream-first-slot runs ExecuteStream until the first Next
 // returns and abandons the stream (Close); stream-collect drains the stream
 // to the finished plan, bounding the streaming overhead against route-full.
 func BenchmarkTimeToFirstSlot(b *testing.B) {
@@ -195,7 +189,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Route(pi); err != nil { // warm the worker free list
+			if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil { // warm the worker free list
 				b.Fatal(err)
 			}
 			return p
@@ -205,7 +199,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
+				if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +209,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps, err := p.RouteStream(pi)
+				ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +224,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps, err := p.RouteStream(pi)
+				ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,12 +237,12 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 }
 
 // BenchmarkHRelation measures the pooled h-relation planning of the
-// Execute surface against the per-call deprecated RouteHRelation (which
-// rebuilds planner, arenas and demand graph every call), plus the streaming
-// pipeline's time-to-first-slot: execute-stream-first-slot runs
-// ExecuteStream(HRelation) until the first Next returns and abandons the
-// stream, so its ns/op is the latency until the first routed slot is usable
-// — the ISSUE bar is < 25% of execute-pooled at d=16, g=64.
+// Execute surface against a fresh Planner per call (which rebuilds planner,
+// arenas and demand graph every call), plus the streaming pipeline's
+// time-to-first-slot: execute-stream-first-slot runs ExecuteStream(HRelation)
+// until the first Next returns and abandons the stream, so its ns/op is the
+// latency until the first routed slot is usable — the bar is < 25% of
+// execute-pooled at d=16, g=64.
 func BenchmarkHRelation(b *testing.B) {
 	ctx := context.Background()
 	for _, s := range []struct{ d, g, h int }{{8, 8, 4}, {16, 64, 8}} {
@@ -273,7 +267,11 @@ func BenchmarkHRelation(b *testing.B) {
 		b.Run(fmt.Sprintf("route-percall/d=%d/g=%d/h=%d", s.d, s.g, s.h), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RouteHRelation(s.d, s.g, reqs); err != nil {
+				p, err := NewPlanner(s.d, s.g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Execute(ctx, HRelation(reqs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -441,17 +439,17 @@ func BenchmarkE12HypercubeScan(b *testing.B) {
 
 // BenchmarkBroadcast measures the one-slot one-to-all primitive.
 func BenchmarkBroadcast(b *testing.B) {
-	nw, err := NewNetwork(32, 32)
+	p, err := NewPlanner(32, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := BroadcastSchedule(nw, 0)
+	plan, err := p.Execute(context.Background(), OneToAll(0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(sched); err != nil {
+		if _, err := Run(plan.Schedule()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -257,7 +257,7 @@ func RequestIDFromContext(ctx context.Context) string {
 }
 
 // Do posts one ServiceRouteRequest and returns the decoded response. It is
-// the general form behind Route and RouteBatch: callers use it to select a
+// the general form behind Execute and RouteBatch: callers use it to select a
 // strategy or ask for full schedules (IncludeSchedule).
 func (c *ServiceClient) Do(ctx context.Context, req *ServiceRouteRequest) (*ServiceRouteResponse, error) {
 	pb, err := marshalBody(req)
@@ -340,12 +340,6 @@ func (r *pooledBodyReader) Close() error {
 		r.pb.release()
 	}
 	return nil
-}
-
-// Route plans one permutation on POPS(d, g) with the default (Theorem 2)
-// strategy. A per-permutation planning failure is returned as an error.
-func (c *ServiceClient) Route(ctx context.Context, d, g int, pi []int) (*ServicePlan, error) {
-	return c.doOne(ctx, &ServiceRouteRequest{D: d, G: g, Pi: pi})
 }
 
 // Execute plans one workload on POPS(d, g) — the wire form of
@@ -453,13 +447,6 @@ type ServiceStream struct {
 	meta ServiceStreamMeta
 	done *ServiceStreamDone
 	err  error
-}
-
-// RouteStream opens a slot stream for pi on POPS(d, g) with the default
-// (Theorem 2) strategy. The stream's Meta is available immediately — it
-// arrives before the first slot has even been computed server-side.
-func (c *ServiceClient) RouteStream(ctx context.Context, d, g int, pi []int) (*ServiceStream, error) {
-	return c.DoStream(ctx, &ServiceRouteRequest{D: d, G: g, Pi: pi})
 }
 
 // ExecuteStream opens a slot stream for any workload — the wire form of

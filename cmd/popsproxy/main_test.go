@@ -2,15 +2,20 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pops"
+	"pops/internal/chaos"
 	"pops/internal/service"
+	"pops/internal/wire"
 )
 
 // testWriter routes the proxy's stdout lines into the test log.
@@ -92,7 +97,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// First half of the trace with the full fleet.
 	for i := 0; i < len(trace)/2; i++ {
-		plan, err := client.Route(ctx, d, g, trace[i])
+		plan, err := client.Execute(ctx, d, g, pops.Permutation(trace[i]))
 		if err != nil {
 			t.Fatalf("request %d failed with the full fleet: %v", i, err)
 		}
@@ -110,7 +115,7 @@ func TestClusterSmoke(t *testing.T) {
 	// by the dead node move to their next ring owner and are re-planned
 	// there; keys of the survivors stay put.
 	for i, pi := range trace {
-		if _, err := client.Route(ctx, d, g, pi); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatalf("request %d failed after killing a backend: %v", i, err)
 		}
 	}
@@ -120,7 +125,7 @@ func TestClusterSmoke(t *testing.T) {
 	// from the owning nodes' fingerprint plan caches.
 	hits := 0
 	for i, pi := range trace {
-		plan, err := client.Route(ctx, d, g, pi)
+		plan, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatalf("replay %d failed: %v", i, err)
 		}
@@ -171,7 +176,7 @@ func TestClusterSmokeStream(t *testing.T) {
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 	for attempt := 1; attempt <= 2; attempt++ {
-		st, err := client.RouteStream(ctx, d, g, pi)
+		st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +226,7 @@ func TestClusterSmokeStreamBinary(t *testing.T) {
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 	for attempt := 1; attempt <= 2; attempt++ {
-		st, err := client.RouteStream(ctx, d, g, pi)
+		st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
@@ -250,7 +255,7 @@ func TestClusterSmokeStreamBinary(t *testing.T) {
 
 	// The unary path holds the same pin: a binary-only client must round-trip
 	// /route through the proxy.
-	plan, err := client.Route(ctx, d, g, pi)
+	plan, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,5 +286,144 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	err := run(context.Background(), []string{"-retries", "x"}, testWriter{t}, nil)
 	if err == nil {
 		t.Fatal("bad flags accepted")
+	}
+}
+
+// backendStats returns the proxy's per-backend entry for url.
+func backendStats(t *testing.T, client *pops.ServiceClient, url string) wire.BackendStats {
+	t.Helper()
+	stats, err := client.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range stats.Backends {
+		if b.ID == url {
+			return b
+		}
+	}
+	t.Fatalf("backend %s missing from proxy /stats", url)
+	return wire.BackendStats{}
+}
+
+// TestOverloadSmoke is the end-to-end overload smoke `make overload-smoke`
+// runs: two throttled popsserved backends, each behind a chaos.Slowdown,
+// and a popsproxy front door. One backend is degraded to 200ms per request;
+// health checks cannot see it (Slowdown spares /healthz), so the proxy's
+// latency breaker must open on it. A 4x load ramp then sheds with typed 429
+// verdicts carrying Retry-After while the admitted p99 stays within 5x of
+// the uncontended baseline, and once the slowness lifts the breaker closes
+// again.
+func TestOverloadSmoke(t *testing.T) {
+	slow := make([]*chaos.Slowdown, 2)
+	urls := make([]string, 2)
+	for i := range slow {
+		drag := &chaos.PlanDrag{}
+		drag.Set(2 * time.Millisecond) // one planning slot: ≈ 0.5 plans/ms per node
+		svc := service.New(service.Config{
+			Name:           fmt.Sprintf("node-%d", i),
+			QueueDepth:     2,
+			PlannerOptions: []pops.Option{pops.WithParallelism(1), pops.WithPlanObserver(drag)},
+		})
+		slow[i] = chaos.NewSlowdown(svc.Handler())
+		srv := httptest.NewServer(slow[i])
+		urls[i] = srv.URL
+		t.Cleanup(func() {
+			drag.Set(0)
+			slow[i].Set(0)
+			srv.Close()
+			svc.Close()
+		})
+	}
+	addr, cancel, done := startProxy(t,
+		"-backends", strings.Join(urls, ","),
+		"-health-interval", "20ms",
+		"-retry-backoff", "1ms",
+		"-breaker-latency", "50ms",
+		"-breaker-cooldown", "1s",
+	)
+	client := pops.NewServiceClient("http://"+addr.String(), nil)
+
+	// Distinct permutations per request, so placement spreads over both
+	// ring owners and every request plans.
+	const d, g = 4, 4
+	var seq atomic.Int64
+	var shedSample atomic.Pointer[pops.OverloadError]
+	route := func(ctx context.Context, _ int) error {
+		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		pi := pops.RandomPermutation(d*g, rand.New(rand.NewSource(seq.Add(1))))
+		_, err := client.Execute(cctx, d, g, pops.Permutation(pi))
+		var oe *pops.OverloadError
+		if errors.As(err, &oe) {
+			shedSample.Store(oe)
+		}
+		return err
+	}
+
+	// Baseline: two paced workers stay under either node's capacity.
+	base := chaos.Ramp{Workers: 2, Requests: 60, Interval: 5 * time.Millisecond}.Run(context.Background(), route)
+	if base.Shed != 0 || base.Failed != 0 || base.Admitted != base.Total() {
+		t.Fatalf("baseline ramp not clean: %+v", base)
+	}
+	p99Base := base.Percentile(0.99)
+
+	// Degrade node 1. Its latency EWMA must trip the breaker while the
+	// health prober still reports it healthy.
+	slow[1].Set(200 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for backendStats(t, client, urls[1]).BreakerState != "open" {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow node's breaker never opened: %+v", backendStats(t, client, urls[1]))
+		}
+		if err := route(context.Background(), 0); err != nil {
+			t.Fatalf("request while degrading: %v", err)
+		}
+	}
+	if b := backendStats(t, client, urls[1]); !b.Healthy {
+		t.Fatalf("slow node was ejected by health checks, not the breaker: %+v", b)
+	}
+
+	// 4x ramp: four times the baseline workers at the same pacing, all of
+	// it on the one fast node. The excess must shed as typed, Retry-After
+	// carrying 429s, not fail and not queue without bound.
+	over := chaos.Ramp{Workers: 8, Requests: 240, Interval: 5 * time.Millisecond}.Run(context.Background(), route)
+	if over.Shed == 0 || over.Failed != 0 || over.Admitted == 0 {
+		t.Fatalf("4x ramp: want sheds, admissions and no failures: %+v", over)
+	}
+	if oe := shedSample.Load(); oe == nil || oe.RetryAfter <= 0 {
+		t.Fatalf("shed verdict lacks a Retry-After: %+v", oe)
+	}
+	bound := max(5*p99Base, 5*10*time.Millisecond)
+	if p99 := over.Percentile(0.99); p99 > bound {
+		t.Fatalf("admitted p99 under 4x load = %v, want <= %v (baseline p99 %v)", p99, bound, p99Base)
+	}
+	t.Logf("baseline p99 %v; 4x ramp: %d admitted, %d shed, p99 %v", p99Base, over.Admitted, over.Shed, over.Percentile(0.99))
+
+	// Lift the slowness: after the cooldown a half-open probe must find the
+	// node fast again and close the breaker.
+	slow[1].Set(0)
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		b := backendStats(t, client, urls[1])
+		if b.BreakerState == "closed" && b.BreakerOpens >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow node's breaker never re-closed: %+v", b)
+		}
+		if err := route(context.Background(), 0); err != nil {
+			t.Fatalf("request during recovery: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("proxy did not drain within 15s")
 	}
 }

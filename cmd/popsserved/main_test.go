@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func TestServeSmoke(t *testing.T) {
 
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
-	first, err := client.Route(ctx, d, g, pi)
+	first, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestServeSmoke(t *testing.T) {
 	if first.Slots != pops.OptimalSlots(d, g) {
 		t.Fatalf("slots = %d, want %d", first.Slots, pops.OptimalSlots(d, g))
 	}
-	second, err := client.Route(ctx, d, g, pi)
+	second, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestGracefulDrainFinishesStreams(t *testing.T) {
 
 	const d, g = 8, 16 // 2·max(d,g) = 32 fragments: plenty left after the signal
 	pi := pops.VectorReversal(d * g)
-	st, err := client.RouteStream(context.Background(), d, g, pi)
+	st, err := client.ExecuteStream(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,6 +698,125 @@ func TestFaultSmoke(t *testing.T) {
 	}
 	if stats.Unroutable != 1 {
 		t.Fatalf("stats.unroutable = %d, want 1", stats.Unroutable)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("server did not drain within 15s")
+	}
+}
+
+// debugAddrWriter logs the server's stdout like testWriter and hands the
+// -debug-addr listener's bound address, announced on stdout, to addr.
+type debugAddrWriter struct {
+	t    *testing.T
+	addr chan string
+}
+
+func (w debugAddrWriter) Write(p []byte) (int, error) {
+	w.t.Logf("%s", p)
+	const marker = "debug listener (pprof, /metrics) on "
+	if _, rest, ok := strings.Cut(string(p), marker); ok {
+		w.addr <- strings.TrimSpace(rest)
+	}
+	return len(p), nil
+}
+
+// httpGet fetches url and returns the status and body.
+func httpGet(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestObsSmoke is the end-to-end observability smoke `make obs-smoke` runs:
+// boot popsserved with a -debug-addr listener, route a permutation under a
+// caller-chosen X-Request-Id, and assert the ID echoes through the client
+// round trip and the raw response header, GET /metrics serves a
+// (d, g, strategy)-labeled plan-time series, the traced request lands in
+// GET /debug/slow, and the debug listener answers /metrics and pprof.
+func TestObsSmoke(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan net.Addr, 1)
+	debug := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		args := []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0"}
+		done <- run(ctx, args, debugAddrWriter{t, debug}, ready)
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("server exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never became ready")
+	}
+	debugAddr := <-debug // announced before ready
+	base := "http://" + addr.String()
+
+	const d, g, id = 4, 8, "obs-smoke-1"
+	client := pops.NewServiceClient(base, nil)
+	resp, err := client.Do(pops.ContextWithRequestID(ctx, id),
+		&pops.ServiceRouteRequest{D: d, G: g, Pi: pops.VectorReversal(d * g)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.RequestID != id {
+		t.Fatalf("response request_id = %q, want %q", resp.RequestID, id)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/route",
+		strings.NewReader(`{"d":4,"g":8,"pi":[1,0,3,2,5,4,7,6,9,8,11,10,13,12,15,14,17,16,19,18,21,20,23,22,25,24,27,26,29,28,31,30]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "obs-smoke-2")
+	raw, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusOK || raw.Header.Get("X-Request-Id") != "obs-smoke-2" {
+		t.Fatalf("raw /route: status %d, X-Request-Id %q", raw.StatusCode, raw.Header.Get("X-Request-Id"))
+	}
+
+	series := fmt.Sprintf(`pops_plan_time_seconds_count{d="%d",g="%d",strategy="theorem2"} `, d, g)
+	for _, url := range []string{base + "/metrics", "http://" + debugAddr + "/metrics"} {
+		status, body := httpGet(t, url)
+		if status != http.StatusOK || !strings.Contains(body, series) {
+			t.Fatalf("GET %s: status %d, missing %q in:\n%s", url, status, series, body)
+		}
+	}
+
+	status, body := httpGet(t, base+"/debug/slow")
+	var slow wire.SlowResponse
+	if err := json.Unmarshal([]byte(body), &slow); status != http.StatusOK || err != nil {
+		t.Fatalf("GET /debug/slow: status %d, err %v", status, err)
+	}
+	traced := false
+	for _, r := range slow.Requests {
+		traced = traced || r.ID == id
+	}
+	if !traced {
+		t.Fatalf("request %q missing from /debug/slow: %s", id, body)
+	}
+
+	if status, body := httpGet(t, "http://"+debugAddr+"/debug/pprof/cmdline"); status != http.StatusOK || body == "" {
+		t.Fatalf("pprof cmdline on the debug listener: status %d, body %q", status, body)
 	}
 
 	cancel()

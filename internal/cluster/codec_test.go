@@ -173,7 +173,7 @@ func TestProxyBinaryStreamReassemblesSplitFrames(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	client := pops.NewServiceClient(front.URL, nil)
-	st, err := client.RouteStream(context.Background(), 4, 8, pops.VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, pops.Permutation(pops.VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +196,44 @@ func TestProxyBinaryStreamReassemblesSplitFrames(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "cluster: backend stream") {
 		t.Fatalf("mid-frame failure error = %v, want an in-band cluster error frame", err)
+	}
+}
+
+// TestTrailingBytesSameVerdictAtBackendAndProxy pins one request reader for
+// both tiers: a body with bytes after the request is a 400 from a backend
+// and through the proxy alike, on /route and /route/stream and in both
+// request codecs, while the trailing newline json.Encoder writes is fine.
+func TestTrailingBytesSameVerdictAtBackendAndProxy(t *testing.T) {
+	p, backends, _ := fleet(t, 1, service.Config{}, Config{})
+	front := httptest.NewServer(p.Handler())
+	t.Cleanup(front.Close)
+
+	enc := wirebin.GetEncoder()
+	frame := append([]byte(nil), enc.AppendRequest(&wire.RouteRequest{D: 2, G: 2, Pi: []int{1, 0, 3, 2}})...)
+	wirebin.PutEncoder(enc)
+	cases := []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"json-garbage", "application/json", `{"d":2,"g":2,"pi":[1,0,3,2]} trailing-garbage`, http.StatusBadRequest},
+		{"json-second-object", "application/json", `{"d":2,"g":2,"pi":[1,0,3,2]}{}`, http.StatusBadRequest},
+		{"json-newline", "application/json", `{"d":2,"g":2,"pi":[1,0,3,2]}` + "\n", http.StatusOK},
+		{"binary-extra-byte", wirebin.ContentType, string(frame) + "x", http.StatusBadRequest},
+		{"binary-exact", wirebin.ContentType, string(frame), http.StatusOK},
+	}
+	for _, tier := range []struct{ name, url string }{{"backend", backends[0].URL}, {"proxy", front.URL}} {
+		for _, path := range []string{"/route", "/route/stream"} {
+			for _, tc := range cases {
+				resp, err := http.Post(tier.url+path, tc.contentType, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != tc.want {
+					t.Errorf("%s %s %s: status %d, want %d (%s)", tier.name, path, tc.name, resp.StatusCode, tc.want, msg)
+				}
+			}
+		}
 	}
 }

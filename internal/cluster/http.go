@@ -18,10 +18,6 @@ import (
 	"pops/internal/wirebin"
 )
 
-// maxRequestBody mirrors the backend bound (internal/service): the largest
-// sensible request is a batch of large permutations, far under this.
-const maxRequestBody = 64 << 20
-
 // Handler returns the proxy's HTTP surface — byte-compatible with a single
 // popsserved node, so clients move between one machine and a fleet by
 // changing a URL:
@@ -206,39 +202,21 @@ func writeOverload(w http.ResponseWriter, oe *pops.OverloadError) {
 	http.Error(w, oe.Error(), http.StatusTooManyRequests)
 }
 
-// decodeProxyRequest reads a route request body in whichever codec the
-// caller framed it — a binary FrameRequest when the Content-Type says so,
-// JSON otherwise — so placement sees the same fields either way. The raw
-// body bytes are forwarded to the backend unchanged regardless of codec.
-func decodeProxyRequest(contentType string, body []byte, req *wire.RouteRequest) error {
-	if !wirebin.IsContentType(contentType) {
-		return json.Unmarshal(body, req)
-	}
-	dec := wirebin.GetDecoder(bytes.NewReader(body))
-	defer wirebin.PutDecoder(dec)
-	typ, payload, err := dec.ReadFrame()
-	if err != nil {
-		return err
-	}
-	if typ != wirebin.FrameRequest {
-		return fmt.Errorf("frame type %d, want request", typ)
-	}
-	return wirebin.DecodeRequest(payload, req)
-}
-
 func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !p.enter() {
 		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	defer p.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody))
 	if err != nil {
 		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	var req wire.RouteRequest
-	if err := decodeProxyRequest(r.Header.Get("Content-Type"), body, &req); err != nil {
+	// Decode for placement only; the raw body bytes are forwarded to the
+	// backend unchanged, whatever the codec.
+	if err := wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -287,13 +265,13 @@ func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer p.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody))
 	if err != nil {
 		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	var req wire.RouteRequest
-	if err := decodeProxyRequest(r.Header.Get("Content-Type"), body, &req); err != nil {
+	if err := wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

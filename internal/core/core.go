@@ -43,7 +43,7 @@ import (
 // PlanObserver receives one observation per planned workload: the resolved
 // strategy that produced the plan, whether it was answered from the plan
 // cache, and how long planning (or the cache hit) took. The public layer
-// invokes it on every Route/Execute/stream completion; the serving layer
+// invokes it on every Execute/stream completion; the serving layer
 // installs an observer that feeds the per-(d, g, strategy) plan-time table
 // behind /stats and /metrics. Implementations must be safe for concurrent
 // use and should not block.
@@ -61,15 +61,9 @@ type Options struct {
 	// before returning it; a simulation failure becomes a planning error.
 	Verify bool
 	// Parallelism bounds the worker pool of batch operations (the public
-	// Planner's RouteBatch and hrelation factor routing). Zero or negative
+	// Planner's RouteBatch and h-relation factor routing). Zero or negative
 	// means "pick a default" (GOMAXPROCS); a single planner call ignores it.
 	Parallelism int
-	// PlanNoCopy makes Theorem 2 Plans alias the caller's permutation slice
-	// instead of snapshotting it. Ownership contract: the caller must not
-	// mutate or reuse the slice for as long as the Plan (or its Verify) is
-	// in use. Batch services that keep their permutations immutable set
-	// this to drop one O(n) copy per plan.
-	PlanNoCopy bool
 	// PlanCache bounds the fingerprint-keyed plan memoization of the public
 	// Planner to this many entries (LRU). Zero or negative disables caching.
 	// The cache lives in the public layer; core planners always plan.
@@ -81,19 +75,9 @@ type Options struct {
 	Observer PlanObserver
 }
 
-// snapshotPerm resolves Plan permutation ownership: by default the
-// permutation is copied so Plans never alias mutable caller memory; under
-// PlanNoCopy the caller's slice is adopted as-is.
-func (o Options) snapshotPerm(pi []int) []int {
-	if o.PlanNoCopy {
-		return pi
-	}
-	return copyPerm(pi)
-}
-
 // Workers resolves the Parallelism option to a concrete worker count: the
 // option itself when positive, GOMAXPROCS otherwise. Every batch layer
-// (Planner.RouteBatch, hrelation factor routing) sizes its pool with this.
+// (Planner.RouteBatch, h-relation factor routing) sizes its pool with this.
 func (o Options) Workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism

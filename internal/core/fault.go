@@ -187,7 +187,7 @@ func (pl *Planner) planFaultyDirect(pi []int, fs popsnet.FaultSet, fn *popsnet.F
 		sched.Slots = append(sched.Slots, slot1, slot2)
 	}
 	return &Plan{
-		Net: nw, Pi: pl.opts.snapshotPerm(pi), Strategy: StrategyFaulty,
+		Net: nw, Pi: copyPerm(pi), Strategy: StrategyFaulty,
 		Rounds: len(rounds), Faults: fs, sched: sched,
 	}, nil
 }
@@ -430,7 +430,7 @@ func (pl *Planner) buildFaultyPlan(pi, colors []int, colorCount, capacity int, f
 	}
 
 	return &Plan{
-		Net: nw, Pi: pl.opts.snapshotPerm(pi), Strategy: StrategyFaulty,
+		Net: nw, Pi: copyPerm(pi), Strategy: StrategyFaulty,
 		Colors: colors, Rounds: rounds, Faults: fs, sched: sched,
 	}, nil
 }

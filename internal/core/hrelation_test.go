@@ -1,4 +1,4 @@
-package hrelation
+package core
 
 import (
 	"context"
@@ -6,11 +6,19 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pops/internal/core"
 	"pops/internal/perms"
 )
 
-func TestDegree(t *testing.T) {
+// planHRelation plans reqs on a fresh POPS(d, g) planner.
+func planHRelation(d, g int, reqs []Request) (*Plan, error) {
+	pl, err := NewPlanner(d, g, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return pl.PlanHRelation(context.Background(), reqs)
+}
+
+func TestHRelationDegree(t *testing.T) {
 	reqs := []Request{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}}
 	h, err := Degree(4, reqs)
 	if err != nil {
@@ -31,8 +39,8 @@ func TestDegree(t *testing.T) {
 	}
 }
 
-func TestRouteEmptyRelation(t *testing.T) {
-	p, err := Route(context.Background(), 2, 2, nil, core.Options{})
+func TestHRelationEmptyRelation(t *testing.T) {
+	p, err := planHRelation(2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,22 +52,22 @@ func TestRouteEmptyRelation(t *testing.T) {
 	}
 }
 
-func TestRoutePermutationIsOneFactor(t *testing.T) {
+func TestHRelationPermutationIsOneFactor(t *testing.T) {
 	// h = 1: an ordinary permutation, one factor, OptimalSlots(d,g) slots.
 	pi := perms.VectorReversal(8)
 	reqs := make([]Request, 8)
 	for i := range reqs {
 		reqs[i] = Request{Src: i, Dst: pi[i]}
 	}
-	p, err := Route(context.Background(), 4, 2, reqs, core.Options{})
+	p, err := planHRelation(4, 2, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.H != 1 || len(p.Factors) != 1 {
 		t.Fatalf("h=%d factors=%d, want 1/1", p.H, len(p.Factors))
 	}
-	if p.SlotCount() != PredictedSlots(4, 2, 1) {
-		t.Fatalf("slots = %d, want %d", p.SlotCount(), PredictedSlots(4, 2, 1))
+	if p.SlotCount() != PredictedHRelationSlots(4, 2, 1) {
+		t.Fatalf("slots = %d, want %d", p.SlotCount(), PredictedHRelationSlots(4, 2, 1))
 	}
 	if _, err := p.Verify(); err != nil {
 		t.Fatal(err)
@@ -78,20 +86,20 @@ func randomHRelation(n, h int, rng *rand.Rand) []Request {
 	return reqs
 }
 
-func TestRouteSaturatedRelations(t *testing.T) {
+func TestHRelationSaturatedRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, tc := range []struct{ d, g, h int }{
 		{2, 2, 2}, {4, 4, 3}, {8, 2, 2}, {3, 5, 4}, {1, 6, 3},
 	} {
 		reqs := randomHRelation(tc.d*tc.g, tc.h, rng)
-		p, err := Route(context.Background(), tc.d, tc.g, reqs, core.Options{})
+		p, err := planHRelation(tc.d, tc.g, reqs)
 		if err != nil {
 			t.Fatalf("d=%d g=%d h=%d: %v", tc.d, tc.g, tc.h, err)
 		}
 		if p.H != tc.h {
 			t.Fatalf("degree %d, want %d", p.H, tc.h)
 		}
-		if got, want := p.SlotCount(), PredictedSlots(tc.d, tc.g, tc.h); got != want {
+		if got, want := p.SlotCount(), PredictedHRelationSlots(tc.d, tc.g, tc.h); got != want {
 			t.Fatalf("d=%d g=%d h=%d: slots = %d, want %d", tc.d, tc.g, tc.h, got, want)
 		}
 		if _, err := p.Verify(); err != nil {
@@ -100,10 +108,10 @@ func TestRouteSaturatedRelations(t *testing.T) {
 	}
 }
 
-func TestRoutePartialRelationWithPadding(t *testing.T) {
+func TestHRelationPartialRelationWithPadding(t *testing.T) {
 	// Unbalanced: proc 0 sends 3 packets, all to proc 5; others idle.
 	reqs := []Request{{Src: 0, Dst: 5}, {Src: 0, Dst: 5}, {Src: 0, Dst: 5}}
-	p, err := Route(context.Background(), 3, 2, reqs, core.Options{})
+	p, err := planHRelation(3, 2, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +131,7 @@ func TestRoutePartialRelationWithPadding(t *testing.T) {
 	}
 }
 
-func TestRouteBroadcastLikeRelation(t *testing.T) {
+func TestHRelationBroadcastLikeRelation(t *testing.T) {
 	// One source fans out to every processor (an h = n "relation"): the
 	// decomposition serializes it into n single-packet factors.
 	d, g := 2, 2
@@ -132,7 +140,7 @@ func TestRouteBroadcastLikeRelation(t *testing.T) {
 	for p := 0; p < n; p++ {
 		reqs = append(reqs, Request{Src: 0, Dst: p})
 	}
-	p, err := Route(context.Background(), d, g, reqs, core.Options{})
+	p, err := planHRelation(d, g, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +152,18 @@ func TestRouteBroadcastLikeRelation(t *testing.T) {
 	}
 }
 
-func TestRouteProperty(t *testing.T) {
+func TestHRelationProperty(t *testing.T) {
 	f := func(dSeed, gSeed, hSeed uint8, seed int64) bool {
 		d := int(dSeed)%5 + 1
 		g := int(gSeed)%5 + 1
 		h := int(hSeed)%3 + 1
 		rng := rand.New(rand.NewSource(seed))
 		reqs := randomHRelation(d*g, h, rng)
-		p, err := Route(context.Background(), d, g, reqs, core.Options{})
+		p, err := planHRelation(d, g, reqs)
 		if err != nil {
 			return false
 		}
-		if p.SlotCount() != PredictedSlots(d, g, h) {
+		if p.SlotCount() != PredictedHRelationSlots(d, g, h) {
 			return false
 		}
 		_, err = p.Verify()
@@ -166,7 +174,7 @@ func TestRouteProperty(t *testing.T) {
 	}
 }
 
-func TestRoutePropertySparse(t *testing.T) {
+func TestHRelationPropertySparse(t *testing.T) {
 	// Sparse random relations (not saturated): padding must fill the gaps.
 	f := func(dSeed, gSeed, mSeed uint8, seed int64) bool {
 		d := int(dSeed)%4 + 1
@@ -178,7 +186,7 @@ func TestRoutePropertySparse(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = Request{Src: rng.Intn(n), Dst: rng.Intn(n)}
 		}
-		p, err := Route(context.Background(), d, g, reqs, core.Options{})
+		p, err := planHRelation(d, g, reqs)
 		if err != nil {
 			return false
 		}
@@ -190,18 +198,18 @@ func TestRoutePropertySparse(t *testing.T) {
 	}
 }
 
-func TestRouteInvalidShape(t *testing.T) {
-	if _, err := Route(context.Background(), 0, 2, nil, core.Options{}); err == nil {
+func TestHRelationInvalidShape(t *testing.T) {
+	if _, err := planHRelation(0, 2, nil); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
-	if _, err := Route(context.Background(), 2, 2, []Request{{Src: 0, Dst: 99}}, core.Options{}); err == nil {
+	if _, err := planHRelation(2, 2, []Request{{Src: 0, Dst: 99}}); err == nil {
 		t.Fatal("bad request accepted")
 	}
 }
 
-func TestAllToAll(t *testing.T) {
+func TestHRelationAllToAll(t *testing.T) {
 	for _, tc := range []struct{ d, g int }{{2, 2}, {2, 3}, {3, 2}, {1, 4}} {
-		p, err := AllToAll(context.Background(), tc.d, tc.g, core.Options{})
+		p, err := planHRelation(tc.d, tc.g, AllToAllRequests(tc.d*tc.g))
 		if err != nil {
 			t.Fatalf("d=%d g=%d: %v", tc.d, tc.g, err)
 		}
@@ -209,7 +217,7 @@ func TestAllToAll(t *testing.T) {
 		if p.H != n-1 {
 			t.Fatalf("d=%d g=%d: degree %d, want %d", tc.d, tc.g, p.H, n-1)
 		}
-		if got, want := p.SlotCount(), PredictedSlots(tc.d, tc.g, n-1); got != want {
+		if got, want := p.SlotCount(), PredictedHRelationSlots(tc.d, tc.g, n-1); got != want {
 			t.Fatalf("d=%d g=%d: slots = %d, want %d", tc.d, tc.g, got, want)
 		}
 		if _, err := p.Verify(); err != nil {
@@ -222,8 +230,8 @@ func TestAllToAll(t *testing.T) {
 	}
 }
 
-func TestAllToAllInvalidShape(t *testing.T) {
-	if _, err := AllToAll(context.Background(), 0, 2, core.Options{}); err == nil {
+func TestHRelationAllToAllInvalidShape(t *testing.T) {
+	if _, err := planHRelation(0, 2, AllToAllRequests(0)); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
 }

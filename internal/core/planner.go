@@ -170,7 +170,7 @@ func (pl *Planner) PlanCtx(ctx context.Context, pi []int) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan = &Plan{Net: nw, Pi: pl.opts.snapshotPerm(pi), Strategy: StrategyTheoremTwo, sched: sched}
+		plan = &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, sched: sched}
 	} else {
 		pl.demand.Reset()
 		for p := 0; p < nw.N(); p++ {
@@ -261,7 +261,7 @@ func (pl *Planner) buildPlan(pi, colors []int) (*Plan, error) {
 		sched.Slots = append(sched.Slots, slot1, slot2)
 	}
 
-	return &Plan{Net: nw, Pi: pl.opts.snapshotPerm(pi), Strategy: StrategyTheoremTwo, Colors: colors, Rounds: rounds, sched: sched}, nil
+	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, Colors: colors, Rounds: rounds, sched: sched}, nil
 }
 
 // checkFairInvariants re-verifies equations (4)–(7) of the paper on the

@@ -6,10 +6,10 @@ import (
 	"pops/internal/graph"
 )
 
-// Balanced computes the coloring at the heart of Theorem 1 of Mei & Rizzi:
-// given a k-regular bipartite multigraph b with n nodes per side and a color
-// count C with k ≤ C and C | n·k, it returns a proper edge coloring with C
-// colors in which every color class has size exactly Δ2 = n·k/C.
+// BalancedInto computes the coloring at the heart of Theorem 1 of Mei &
+// Rizzi: given a k-regular bipartite multigraph b with n nodes per side and
+// a color count C with k ≤ C and C | n·k, it writes a proper edge coloring
+// with C colors in which every color class has size exactly Δ2 = n·k/C.
 //
 // Construction (the paper's proof, Section 3.1): add |V| = n − Δ2 new nodes
 // on each side. New left nodes are joined to every original right node and
@@ -20,24 +20,10 @@ import (
 // matching uses 2·(n − Δ2) padding edges, so it contains exactly Δ2 real
 // edges — the required balanced classes.
 //
-// The returned slice maps edge ID of b to its color in [0, C). It is the
-// convenience form of Factorizer.BalancedInto with a throwaway arena;
-// repeated callers (the Theorem 2 planner) hold a Factorizer and reuse the
-// padding graph and all coloring scratch across calls.
-func Balanced(b *graph.Bipartite, colorCount int, algo Algorithm) ([]int, error) {
-	var f Factorizer
-	colors := make([]int, b.NumEdges())
-	if err := f.BalancedInto(colors, b, colorCount, algo); err != nil {
-		return nil, err
-	}
-	return colors, nil
-}
-
-// BalancedInto is the arena form of Balanced: it writes the color of every
-// edge of b into colors (indexed by edge ID, len(colors) == b.NumEdges()).
-// The Theorem 1 padding graph is rebuilt in place when the shape repeats —
-// the common case for a planner coloring a stream of demand graphs on one
-// network — so steady-state calls do not allocate.
+// colors receives the color in [0, C) of every edge of b (indexed by edge
+// ID, len(colors) == b.NumEdges()). The padding graph is rebuilt in place
+// when the shape repeats — the common case for a planner coloring a stream
+// of demand graphs on one network — so steady-state calls do not allocate.
 func (f *Factorizer) BalancedInto(colors []int, b *graph.Bipartite, colorCount int, algo Algorithm) error {
 	f.streamGen++ // supersede any in-flight Stream; the arena is reused now
 	classSize, padded, err := f.balancedSetup(b, colorCount, len(colors))
@@ -71,11 +57,11 @@ func (f *Factorizer) BalancedInto(colors []int, b *graph.Bipartite, colorCount i
 	return nil
 }
 
-// balancedSetup validates a Balanced instance and, when padding is needed
-// (classSize < n), rebuilds the Theorem 1 padded graph in the arena and
-// returns it; a nil padded graph means a plain 1-factorization of b already
-// has the required class sizes. colorsLen is the caller's output-slice
-// length, validated against b. Shared by the batch BalancedInto and the
+// balancedSetup validates a balanced-coloring instance and, when padding is
+// needed (classSize < n), rebuilds the Theorem 1 padded graph in the arena
+// and returns it; a nil padded graph means a plain 1-factorization of b
+// already has the required class sizes. colorsLen is the caller's
+// output-slice length, validated against b. Shared by the batch BalancedInto and the
 // streaming StartBalanced so both factorize the identical instance.
 func (f *Factorizer) balancedSetup(b *graph.Bipartite, colorCount, colorsLen int) (classSize int, padded *graph.Bipartite, err error) {
 	n := b.NLeft()

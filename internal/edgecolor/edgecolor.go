@@ -19,9 +19,8 @@
 // All three run on the arena-backed Factorizer engine: an iterative work
 // stack over index-range views of one edge array, bit-vector membership
 // sets, and matching/splitting routines that write into reusable buffers.
-// The package-level Factorize, Balanced and ColorInsertion are thin
-// compatibility wrappers over a fresh arena; planners that color repeatedly
-// hold a Factorizer (one per worker) and stay allocation-free after warm-up.
+// Planners that color repeatedly hold a Factorizer (one per worker) and stay
+// allocation-free after warm-up.
 //
 // Balanced colorings with exact color-class sizes — the actual statement of
 // Theorem 1, needed when the network has fewer packets per group than groups
@@ -63,34 +62,13 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Factorize decomposes a k-regular bipartite multigraph with equal sides
-// into k perfect matchings and returns them as slices of edge IDs, one slice
-// per color class. It returns an error if the graph is not regular or the
-// sides differ. It is the convenience form of Factorizer.Factorize with a
-// throwaway arena; repeated callers hold a Factorizer and reuse its scratch.
-func Factorize(b *graph.Bipartite, algo Algorithm) ([][]int, error) {
-	var f Factorizer
-	return f.Factorize(b, algo)
-}
-
-// ColorInsertion properly edge-colors an arbitrary bipartite multigraph with
-// Δ = max degree colors using alternating-path repairs, in O(n·m) time. It
-// returns the color of every edge (indexed by edge ID) and the number of
-// colors Δ.
-func ColorInsertion(b *graph.Bipartite) (colors []int, numColors int, err error) {
-	var f Factorizer
-	colors = make([]int, b.NumEdges())
-	numColors, err = f.colorInsertionInto(colors, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return colors, numColors, nil
-}
-
-// colorInsertionInto is the arena form of ColorInsertion: the per-node color
-// tables live in the Factorizer as flat slices (node*Δ+color indexing) and
-// the alternating path reuses one buffer, so steady-state calls do not
-// allocate. colors must have length b.NumEdges(); it is fully overwritten.
+// colorInsertionInto properly edge-colors an arbitrary bipartite multigraph
+// with Δ = max degree colors using alternating-path repairs, in O(n·m) time.
+// It writes the color of every edge into colors (indexed by edge ID, length
+// b.NumEdges(), fully overwritten) and returns the number of colors Δ. The
+// per-node color tables live in the Factorizer as flat slices
+// (node*Δ+color indexing) and the alternating path reuses one buffer, so
+// steady-state calls do not allocate.
 func (f *Factorizer) colorInsertionInto(colors []int, b *graph.Bipartite) (int, error) {
 	delta := b.MaxDegree()
 	nL, nR := b.NLeft(), b.NRight()

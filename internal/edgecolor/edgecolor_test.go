@@ -21,6 +21,19 @@ func randomRegular(n, k int, rng *rand.Rand) *graph.Bipartite {
 
 var allAlgorithms = []Algorithm{RepeatedMatching, EulerSplitDC, Insertion}
 
+// balancedColors runs BalancedInto on a fresh arena.
+func balancedColors(b *graph.Bipartite, colorCount int, algo Algorithm) ([]int, error) {
+	colors := make([]int, b.NumEdges())
+	return colors, NewFactorizer().BalancedInto(colors, b, colorCount, algo)
+}
+
+// insertionColors runs the insertion coloring on a fresh arena.
+func insertionColors(b *graph.Bipartite) ([]int, int, error) {
+	colors := make([]int, b.NumEdges())
+	c, err := NewFactorizer().colorInsertionInto(colors, b)
+	return colors, c, err
+}
+
 func checkFactorization(t *testing.T, b *graph.Bipartite, classes [][]int, k int) {
 	t.Helper()
 	if len(classes) != k {
@@ -45,7 +58,7 @@ func TestFactorizeAllAlgorithms(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		for _, tc := range cases {
 			b := randomRegular(tc.n, tc.k, rng)
-			classes, err := Factorize(b, algo)
+			classes, err := NewFactorizer().Factorize(b, algo)
 			if err != nil {
 				t.Fatalf("%v n=%d k=%d: %v", algo, tc.n, tc.k, err)
 			}
@@ -66,7 +79,7 @@ func TestFactorizeParallelEdgeBundles(t *testing.T) {
 					b.AddEdge(h, (h+1)%g)
 				}
 			}
-			classes, err := Factorize(b, algo)
+			classes, err := NewFactorizer().Factorize(b, algo)
 			if err != nil {
 				t.Fatalf("%v d=%d: %v", algo, d, err)
 			}
@@ -81,21 +94,21 @@ func TestFactorizeRejectsIrregular(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 1)
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC} {
-		if _, err := Factorize(b, algo); err == nil {
+		if _, err := NewFactorizer().Factorize(b, algo); err == nil {
 			t.Fatalf("%v accepted irregular graph", algo)
 		}
 	}
 }
 
 func TestFactorizeRejectsUnequalSides(t *testing.T) {
-	if _, err := Factorize(graph.New(2, 3), RepeatedMatching); err == nil {
+	if _, err := NewFactorizer().Factorize(graph.New(2, 3), RepeatedMatching); err == nil {
 		t.Fatal("unequal sides accepted")
 	}
 }
 
 func TestFactorizeUnknownAlgorithm(t *testing.T) {
 	b := randomRegular(3, 2, rand.New(rand.NewSource(1)))
-	if _, err := Factorize(b, Algorithm(99)); err == nil {
+	if _, err := NewFactorizer().Factorize(b, Algorithm(99)); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -122,7 +135,7 @@ func TestColorInsertionNonRegular(t *testing.T) {
 		for e := 0; e < m; e++ {
 			b.AddEdge(rng.Intn(nL), rng.Intn(nR))
 		}
-		colors, c, err := ColorInsertion(b)
+		colors, c, err := insertionColors(b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -137,7 +150,7 @@ func TestColorInsertionNonRegular(t *testing.T) {
 
 func TestColorInsertionEmptyGraph(t *testing.T) {
 	b := graph.New(3, 3)
-	colors, c, err := ColorInsertion(b)
+	colors, c, err := insertionColors(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +169,7 @@ func TestColorInsertionTriggersAlternatingPath(t *testing.T) {
 	b.AddEdge(0, 1) // L0 free {1}? no: L0 has 0; R1 has 0,1 -> needs swap path
 	b.AddEdge(0, 0)
 	b.AddEdge(1, 1)
-	colors, c, err := ColorInsertion(b)
+	colors, c, err := insertionColors(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +186,7 @@ func TestColorInsertionProperty(t *testing.T) {
 		n := int(nSeed)%16 + 1
 		k := int(kSeed)%6 + 1
 		b := randomRegular(n, k, rand.New(rand.NewSource(seed)))
-		colors, c, err := ColorInsertion(b)
+		colors, c, err := insertionColors(b)
 		if err != nil || c != k {
 			return false
 		}
@@ -201,7 +214,7 @@ func TestBalancedExactClassSizes(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		for _, tc := range cases {
 			b := randomRegular(tc.n, tc.k, rng)
-			colors, err := Balanced(b, tc.colors, algo)
+			colors, err := balancedColors(b, tc.colors, algo)
 			if err != nil {
 				t.Fatalf("%v n=%d k=%d C=%d: %v", algo, tc.n, tc.k, tc.colors, err)
 			}
@@ -215,18 +228,18 @@ func TestBalancedExactClassSizes(t *testing.T) {
 
 func TestBalancedRejectsBadParameters(t *testing.T) {
 	b := randomRegular(4, 3, rand.New(rand.NewSource(2)))
-	if _, err := Balanced(b, 2, RepeatedMatching); err == nil {
+	if _, err := balancedColors(b, 2, RepeatedMatching); err == nil {
 		t.Fatal("accepted fewer colors than degree")
 	}
-	if _, err := Balanced(b, 5, RepeatedMatching); err == nil {
+	if _, err := balancedColors(b, 5, RepeatedMatching); err == nil {
 		t.Fatal("accepted color count not dividing edge count")
 	}
-	if _, err := Balanced(graph.New(2, 3), 2, RepeatedMatching); err == nil {
+	if _, err := balancedColors(graph.New(2, 3), 2, RepeatedMatching); err == nil {
 		t.Fatal("accepted unequal sides")
 	}
 	irr := graph.New(2, 2)
 	irr.AddEdge(0, 0)
-	if _, err := Balanced(irr, 2, RepeatedMatching); err == nil {
+	if _, err := balancedColors(irr, 2, RepeatedMatching); err == nil {
 		t.Fatal("accepted irregular graph")
 	}
 }
@@ -237,7 +250,7 @@ func TestBalancedProperty(t *testing.T) {
 		n := int(nSeed)%12 + 1
 		k := int(kSeed)%n + 1
 		b := randomRegular(n, k, rand.New(rand.NewSource(seed)))
-		colors, err := Balanced(b, n, EulerSplitDC)
+		colors, err := balancedColors(b, n, EulerSplitDC)
 		if err != nil {
 			return false
 		}

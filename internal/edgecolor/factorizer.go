@@ -9,7 +9,7 @@ import (
 )
 
 // Factorizer is a reusable arena for bipartite edge coloring — the
-// allocation-free engine behind Factorize and Balanced. One Factorizer
+// allocation-free engine of every coloring in this package. One Factorizer
 // amortizes every piece of scratch the factorization algorithms need across
 // calls:
 //
@@ -21,7 +21,7 @@ import (
 //   - the matching routines (Hopcroft–Karp, the Alon Euler-halving perfect
 //     matcher) and the Euler splitter write into caller-provided buffers
 //     owned by the arena (matching.Matcher, graph.Splitter);
-//   - the Balanced padding graph is rebuilt in place (graph.Reset) when the
+//   - the BalancedInto padding graph is rebuilt in place (graph.Reset) when the
 //     shape repeats.
 //
 // After a warm-up call per shape, FactorizeInto and BalancedInto perform no

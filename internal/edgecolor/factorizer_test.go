@@ -20,15 +20,15 @@ func factorizerCases() []struct{ n, k, seed int } {
 
 // TestFactorizerAllCombinations checks that every algorithm × arena-reuse
 // combination produces k disjoint perfect matchings, and that a reused
-// arena is colorwise identical to the package-level wrapper (fresh arena).
+// arena is colorwise identical to a fresh arena.
 func TestFactorizerAllCombinations(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		reused := NewFactorizer() // one arena across every case of this algorithm
 		for _, tc := range factorizerCases() {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			classes, err := Factorize(b, algo) // fresh arena per call
+			classes, err := NewFactorizer().Factorize(b, algo) // fresh arena per call
 			if err != nil {
-				t.Fatalf("%v n=%d k=%d: wrapper: %v", algo, tc.n, tc.k, err)
+				t.Fatalf("%v n=%d k=%d: fresh arena: %v", algo, tc.n, tc.k, err)
 			}
 			checkFactorization(t, b, classes, tc.k)
 
@@ -102,7 +102,7 @@ func TestFactorizerReuseDeterministic(t *testing.T) {
 
 // TestBalancedIntoMatchesWrapperAcrossShapes runs one arena through a
 // shape-changing stream of Balanced instances (padding graph grows, shrinks
-// and repeats) and compares against the fresh-arena wrapper.
+// and repeats) and compares against a fresh arena.
 func TestBalancedIntoMatchesWrapperAcrossShapes(t *testing.T) {
 	cases := []struct{ n, k, colors, seed int }{
 		{4, 2, 4, 61}, {6, 3, 6, 62}, {8, 8, 8, 63}, {6, 2, 3, 64},
@@ -112,9 +112,9 @@ func TestBalancedIntoMatchesWrapperAcrossShapes(t *testing.T) {
 		f := NewFactorizer()
 		for _, tc := range cases {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			want, err := Balanced(b, tc.colors, algo)
+			want, err := balancedColors(b, tc.colors, algo)
 			if err != nil {
-				t.Fatalf("%v n=%d k=%d C=%d: wrapper: %v", algo, tc.n, tc.k, tc.colors, err)
+				t.Fatalf("%v n=%d k=%d C=%d: fresh arena: %v", algo, tc.n, tc.k, tc.colors, err)
 			}
 			got := make([]int, b.NumEdges())
 			if err := f.BalancedInto(got, b, tc.colors, algo); err != nil {
@@ -224,15 +224,15 @@ func TestFactorizerAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkFactorizerReuse contrasts the compatibility wrapper (fresh arena
-// per call) with a reused arena on the planner-shaped workload.
+// BenchmarkFactorizerReuse contrasts a fresh arena per call with a reused
+// arena on the planner-shaped workload.
 func BenchmarkFactorizerReuse(b *testing.B) {
 	for _, g := range []int{32, 128} {
 		bb := randomRegular(g, g/2, rand.New(rand.NewSource(81)))
-		b.Run(fmt.Sprintf("wrapper/g=%d", g), func(b *testing.B) {
+		b.Run(fmt.Sprintf("fresh/g=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factorize(bb, EulerSplitDC); err != nil {
+				if _, err := NewFactorizer().Factorize(bb, EulerSplitDC); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -39,7 +39,7 @@ func goldenLines() []string {
 	for _, algo := range allAlgorithms {
 		for _, tc := range factorize {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			classes, err := Factorize(b, algo)
+			classes, err := NewFactorizer().Factorize(b, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden %v n=%d k=%d: %v", algo, tc.n, tc.k, err))
 			}
@@ -49,7 +49,7 @@ func goldenLines() []string {
 		}
 		for _, d := range []int{1, 2, 5, 8} {
 			b := goldenBundle(6, d)
-			classes, err := Factorize(b, algo)
+			classes, err := NewFactorizer().Factorize(b, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden bundle %v d=%d: %v", algo, d, err))
 			}
@@ -63,7 +63,7 @@ func goldenLines() []string {
 		}
 		for _, tc := range balanced {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			colors, err := Balanced(b, tc.colors, algo)
+			colors, err := balancedColors(b, tc.colors, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden balanced %v n=%d k=%d C=%d: %v", algo, tc.n, tc.k, tc.colors, err))
 			}

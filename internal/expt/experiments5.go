@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"pops"
+	"pops/internal/core"
 	"pops/internal/perms"
 )
 
@@ -102,7 +103,7 @@ func E16(seed int64) (*Table, error) {
 		return nil, err
 	}
 	for i, plan := range plans {
-		seq, err := pops.Route(d, g, pis[i])
+		seq, err := core.PlanRoute(d, g, pis[i], core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,7 @@ func E16(seed int64) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("RouteBatch(%d perms on POPS(%d,%d), 2 workers) matches sequential Route slot for slot", len(pis), d, g),
+		fmt.Sprintf("RouteBatch(%d perms on POPS(%d,%d), 2 workers) matches sequential core.PlanRoute slot for slot", len(pis), d, g),
 		"auto picks singleslot on one-slot-routable permutations, direct-optimal when µmax < 2⌈d/g⌉, theorem2 otherwise")
 	return t, nil
 }

@@ -146,8 +146,9 @@ func (ls *ListSystem) FairDistribution(algo edgecolor.Algorithm) ([][]int, error
 	}
 
 	g := ls.Graph()
-	colors, err := edgecolor.Balanced(g, ls.NTargets, algo)
-	if err != nil {
+	var fz edgecolor.Factorizer
+	colors := make([]int, g.NumEdges())
+	if err := fz.BalancedInto(colors, g, ls.NTargets, algo); err != nil {
 		return nil, fmt.Errorf("fairdist: balanced coloring: %w", err)
 	}
 	f := make([][]int, ls.NSources)

@@ -36,9 +36,8 @@ type Splitter struct {
 //
 // The traversal — and therefore the exact partition — is deterministic: the
 // adjacency of each node is walked in input edge order, tours start at left
-// node 0, 1, … then right node 0, 1, …. This matches the historical
-// EulerSplit on a graph whose edges were added in the same order, which the
-// factorization golden tests rely on.
+// node 0, 1, … then right node 0, 1, …, which the factorization golden
+// tests rely on.
 func (s *Splitter) Split(nL, nR int, edges []Edge, outA, outB []int) (nA, nB int, err error) {
 	m := len(edges)
 	s.buildCSR(nL, nR, edges)
@@ -186,25 +185,4 @@ func ResizeEdges(buf []Edge, n int) []Edge {
 		return make([]Edge, n)
 	}
 	return buf[:n]
-}
-
-// EulerSplit partitions the edges of a bipartite multigraph in which every
-// node has even degree into two halves A and B such that every node's degree
-// is exactly halved in each part: deg_A(v) = deg_B(v) = deg(v)/2.
-//
-// The returned slices contain edge IDs of b. EulerSplit runs in O(m) time.
-// It returns an error if some node has odd degree. It is the convenience
-// form of Splitter.Split with a throwaway arena; repeated callers (the
-// edge-coloring Factorizer, the Alon matching engine) hold a Splitter
-// instead and stay allocation-free.
-func EulerSplit(b *Bipartite) (a, bb []int, err error) {
-	var s Splitter
-	m := len(b.edges)
-	a = make([]int, m/2)
-	bb = make([]int, m/2)
-	nA, nB, err := s.Split(b.nLeft, b.nRight, b.edges, a, bb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a[:nA], bb[:nB], nil
 }

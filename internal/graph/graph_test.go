@@ -231,13 +231,21 @@ func randomRegular(n, k int, rng *rand.Rand) *Bipartite {
 	return b
 }
 
+// eulerSplit runs Splitter.Split on a fresh arena over all edges of b.
+func eulerSplit(b *Bipartite) (a, bb []int, err error) {
+	var s Splitter
+	a, bb = make([]int, len(b.edges)/2), make([]int, len(b.edges)/2)
+	nA, nB, err := s.Split(b.nLeft, b.nRight, b.edges, a, bb)
+	return a[:nA], bb[:nB], err
+}
+
 func TestEulerSplitHalvesDegreesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ n, k int }{
 		{1, 2}, {2, 2}, {3, 4}, {8, 6}, {16, 8}, {5, 2}, {32, 4},
 	} {
 		b := randomRegular(tc.n, tc.k, rng)
-		a, bb, err := EulerSplit(b)
+		a, bb, err := eulerSplit(b)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -293,7 +301,7 @@ func TestEulerSplitNonRegularEvenDegrees(t *testing.T) {
 	b.AddEdge(0, 0)
 	b.AddEdge(1, 1)
 	// degrees: L0=4? L0: 2 +1 +1 = 4, L1: 4; R0: 2+1+1=4, R1: 4. All even.
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
 		t.Fatalf("EulerSplit: %v", err)
 	}
@@ -305,7 +313,7 @@ func TestEulerSplitNonRegularEvenDegrees(t *testing.T) {
 func TestEulerSplitOddDegreeRejected(t *testing.T) {
 	b := New(1, 1)
 	b.AddEdge(0, 0)
-	if _, _, err := EulerSplit(b); err == nil {
+	if _, _, err := eulerSplit(b); err == nil {
 		t.Fatal("odd-degree graph accepted")
 	}
 }
@@ -319,7 +327,7 @@ func TestEulerSplitDisconnected(t *testing.T) {
 		b.AddEdge(2, 3)
 		b.AddEdge(3, 2)
 	}
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
 		t.Fatalf("EulerSplit: %v", err)
 	}
@@ -328,7 +336,7 @@ func TestEulerSplitDisconnected(t *testing.T) {
 
 func TestEulerSplitEmptyGraph(t *testing.T) {
 	b := New(3, 3)
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
 		t.Fatalf("EulerSplit: %v", err)
 	}
@@ -345,7 +353,7 @@ func TestEulerSplitProperty(t *testing.T) {
 		k := 2 * (int(kSeed)%6 + 1)
 		rng := rand.New(rand.NewSource(seed))
 		b := randomRegular(n, k, rng)
-		a, bb, err := EulerSplit(b)
+		a, bb, err := eulerSplit(b)
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSplitterViewMatchesSubgraph pins the view contract the edge-coloring
-// engine relies on: splitting a gathered edge view must equal EulerSplit on
+// engine relies on: splitting a gathered edge view must equal a fresh split of
 // the materialized subgraph, index for index.
 func TestSplitterViewMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -30,7 +30,7 @@ func TestSplitterViewMatchesSubgraph(t *testing.T) {
 			}
 		}
 		sub, orig := b.SubgraphByEdges(ids)
-		wantA, wantB, err := EulerSplit(sub)
+		wantA, wantB, err := eulerSplit(sub)
 		if err != nil {
 			t.Fatalf("trial %d: EulerSplit: %v", trial, err)
 		}

@@ -44,12 +44,11 @@ type Matcher struct {
 	degL, degR      []int
 }
 
-// HopcroftKarpInto computes a maximum matching of the bipartite multigraph
-// view whose i-th edge is edges[i] (endpoints in [0, nL) × [0, nR)), writes
-// the matched edge indices into out in left-node order, and returns the
-// matching size. out must hold at least min(nL, nR) entries. The result is
-// identical to HopcroftKarp on a graph whose edges were added in the same
-// order.
+// HopcroftKarpInto computes a maximum matching in O(E·√V) of the
+// bipartite multigraph view whose i-th edge is edges[i] (endpoints in
+// [0, nL) × [0, nR)), writes the matched edge indices into out in left-node
+// order, and returns the matching size. out must hold at least min(nL, nR)
+// entries.
 func (m *Matcher) HopcroftKarpInto(nL, nR int, edges []graph.Edge, out []int) int {
 	m.edges = edges
 	m.nL = nL
@@ -162,14 +161,27 @@ func (m *Matcher) dfs(l int) bool {
 }
 
 // PerfectMatchingRegularInto finds a perfect matching of the k-regular
-// bipartite multigraph view whose i-th edge is edges[i] (n nodes per side),
-// writes the n matched edge indices into out, and returns n. It uses the
-// Euler-halving scheme of Alon (see PerfectMatchingRegular) with all state
-// in the arena: the implicit parallel-copy multiset lives in counting-sorted
-// entry arrays instead of maps, and the per-round leftover graphs are split
-// by the arena's graph.Splitter. The matched edge *set* is identical to the
-// historical map-based implementation (the golden factorization outputs
-// depend on it); the order written to out is by sorted (L, R) pair.
+// bipartite multigraph view whose i-th edge is edges[i] (n nodes per side)
+// in O(m·log(nk)) time, writes the n matched edge indices into out, and
+// returns n. It uses the Euler-halving scheme of Alon ("A simple algorithm
+// for edge-coloring bipartite multigraphs"), the fast-matching engine
+// underlying the near-linear 1-factorization algorithms (Kapoor–Rizzi,
+// Rizzi) cited in Remark 1 of the paper.
+//
+// The idea: pad the graph to 2^t-regular by taking α parallel copies of
+// every edge plus β copies of a dummy diagonal matching, where
+// α = ⌊2^t/k⌋ and β = 2^t − α·k, with 2^t ≥ n·k so that β·n < 2^t. Then
+// halve t times with Euler splits, always keeping the half containing fewer
+// dummy edges; the dummy count at least halves each round, so the final
+// 1-regular graph is a perfect matching made entirely of real edges.
+//
+// All state lives in the arena: the implicit parallel-copy multiset lives in
+// counting-sorted entry arrays instead of maps (so each halving costs
+// O(#distinct pairs + n), not O(2^t·n)), and the per-round leftover graphs
+// are split by the arena's graph.Splitter. The matched edge *set* is
+// identical to the historical map-based implementation (the golden
+// factorization outputs depend on it); the order written to out is by
+// sorted (L, R) pair.
 //
 // It returns graph.ErrNotBipartiteRegular if the view is not k-regular.
 func (m *Matcher) PerfectMatchingRegularInto(n, k int, edges []graph.Edge, out []int) (int, error) {

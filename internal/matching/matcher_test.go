@@ -19,7 +19,7 @@ func randomRegularM(n, k int, rng *rand.Rand) *graph.Bipartite {
 }
 
 // TestHopcroftKarpIntoViewMatchesSubgraph pins the view contract: running
-// the arena matcher on a gathered edge view equals HopcroftKarp on the
+// the arena matcher on a gathered edge view equals a fresh arena on the
 // materialized subgraph.
 func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -36,7 +36,7 @@ func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 			}
 		}
 		sub, _ := b.SubgraphByEdges(ids)
-		want := HopcroftKarp(sub)
+		want := hopcroftKarp(sub)
 
 		edges := make([]graph.Edge, len(ids))
 		for i, id := range ids {
@@ -57,7 +57,7 @@ func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 
 // TestPerfectMatchingRegularIntoViewValid checks the arena matcher on views
 // of regular graphs: the result must be a perfect matching, identical to
-// the package wrapper on the materialized graph.
+// a fresh arena on the materialized graph.
 func TestPerfectMatchingRegularIntoViewValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m Matcher
@@ -65,9 +65,9 @@ func TestPerfectMatchingRegularIntoViewValid(t *testing.T) {
 		n := rng.Intn(10) + 1
 		k := rng.Intn(6) + 1
 		b := randomRegularM(n, k, rng)
-		want, err := PerfectMatchingRegular(b)
+		want, err := perfectMatching(b)
 		if err != nil {
-			t.Fatalf("trial %d: wrapper: %v", trial, err)
+			t.Fatalf("trial %d: fresh arena: %v", trial, err)
 		}
 		out := make([]int, n)
 		outN, err := m.PerfectMatchingRegularInto(n, k, b.EdgeList(), out)

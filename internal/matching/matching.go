@@ -8,13 +8,13 @@
 //
 //   - Kuhn: classic augmenting-path maximum matching, O(V·E). Simple and the
 //     reference implementation the others are tested against.
-//   - HopcroftKarp: O(E·√V) maximum matching.
-//   - PerfectMatchingRegular: Alon-style Euler-halving perfect matching in a
-//     k-regular bipartite multigraph, O(m·log(nk)) — the engine behind the
-//     near-linear 1-factorizations of Kapoor–Rizzi and Rizzi cited by the
-//     paper.
+//   - Matcher.HopcroftKarpInto: O(E·√V) maximum matching.
+//   - Matcher.PerfectMatchingRegularInto: Alon-style Euler-halving perfect
+//     matching in a k-regular bipartite multigraph, O(m·log(nk)) — the
+//     engine behind the near-linear 1-factorizations of Kapoor–Rizzi and
+//     Rizzi cited by the paper.
 //
-// All functions return matchings as slices of edge IDs of the input graph.
+// All of them return matchings as edge IDs of the input graph.
 package matching
 
 import (
@@ -67,23 +67,6 @@ func Kuhn(b *graph.Bipartite) []int {
 		}
 	}
 	return out
-}
-
-// HopcroftKarp computes a maximum matching in O(E·√V) and returns the IDs of
-// the matched edges, in left-node order. It is the convenience form of
-// Matcher.HopcroftKarpInto with a throwaway arena; repeated callers (the
-// edge-coloring Factorizer) hold a Matcher instead and stay
-// allocation-free.
-func HopcroftKarp(b *graph.Bipartite) []int {
-	nL, nR := b.NLeft(), b.NRight()
-	size := nL
-	if nR < size {
-		size = nR
-	}
-	var m Matcher
-	out := make([]int, size)
-	n := m.HopcroftKarpInto(nL, nR, b.EdgeList(), out)
-	return out[:n]
 }
 
 // VerifyMatching checks that ids is a matching of b (no two edges share an

@@ -17,10 +17,6 @@ import (
 	"pops/internal/wirebin"
 )
 
-// maxRequestBody bounds /route bodies: the largest sensible request is a
-// batch of large permutations, far under this.
-const maxRequestBody = 64 << 20
-
 // Handler returns the service's HTTP surface:
 //
 //	POST /route         plan one permutation ("pi") or a batch ("pis")
@@ -70,28 +66,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeRouteRequest reads a /route or /route/stream body in whichever
-// request codec the caller sent: a binary FrameRequest when Content-Type is
-// application/x-pops-bin, JSON otherwise. It writes the 400 itself on
-// malformed input.
+// request codec the caller sent (wirebin.ReadRouteRequest). It writes the
+// 400 itself on malformed input.
 func decodeRouteRequest(w http.ResponseWriter, r *http.Request, req *wire.RouteRequest) bool {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if wirebin.IsContentType(r.Header.Get("Content-Type")) {
-		dec := wirebin.GetDecoder(body)
-		defer wirebin.PutDecoder(dec)
-		typ, payload, err := dec.ReadFrame()
-		if err == nil && typ != wirebin.FrameRequest {
-			err = fmt.Errorf("frame type %d, want request", typ)
-		}
-		if err == nil {
-			err = wirebin.DecodeRequest(payload, req)
-		}
-		if err != nil {
-			http.Error(w, "service: decoding request: "+err.Error(), http.StatusBadRequest)
-			return false
-		}
-		return true
-	}
-	if err := json.NewDecoder(body).Decode(req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody)
+	if err := wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), body, req); err != nil {
 		http.Error(w, "service: decoding request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -1,6 +1,11 @@
 package wirebin
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+
 	"pops/internal/popsnet"
 	"pops/internal/wire"
 )
@@ -182,6 +187,40 @@ func (e *Encoder) AppendRequest(req *wire.RouteRequest) []byte {
 		e.ints(req.Faults.Groups)
 	}
 	return e.finish()
+}
+
+// ReadRouteRequest reads one route request body from r into req, in the
+// codec contentType names: a binary FrameRequest for ContentType, JSON
+// otherwise. Either codec rejects bytes after the request — JSON tolerates
+// only trailing whitespace, such as the newline json.Encoder writes — so a
+// backend and the proxy in front of it give one verdict on one body.
+func ReadRouteRequest(contentType string, r io.Reader, req *wire.RouteRequest) error {
+	if !IsContentType(contentType) {
+		dec := json.NewDecoder(r)
+		if err := dec.Decode(req); err != nil {
+			return err
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return errors.New("trailing data after the JSON request")
+		}
+		return nil
+	}
+	dec := GetDecoder(r)
+	defer PutDecoder(dec)
+	typ, payload, err := dec.ReadFrame()
+	if err != nil {
+		return err
+	}
+	if typ != FrameRequest {
+		return fmt.Errorf("frame type %d, want request", typ)
+	}
+	if err := DecodeRequest(payload, req); err != nil {
+		return err
+	}
+	if _, err := dec.br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("%w: trailing data after the request frame", ErrCorruptFrame)
+	}
+	return nil
 }
 
 // DecodeRequest fills req from a FrameRequest payload.

@@ -78,10 +78,14 @@ const (
 	FrameResponse byte = 6
 )
 
-// MaxFrame bounds a single frame's payload, mirroring the HTTP layers'
-// request-body bound: a length prefix past it is corruption (or an attack),
-// not a plan.
+// MaxFrame bounds a single frame's payload, mirroring MaxRequestBody: a
+// length prefix past it is corruption (or an attack), not a plan.
 const MaxFrame = 64 << 20
+
+// MaxRequestBody bounds a /route or /route/stream request body on every
+// HTTP surface, backend and proxy alike: the largest sensible request is a
+// batch of large permutations, far under this.
+const MaxRequestBody = 64 << 20
 
 // ErrCorruptFrame tags every malformed-input failure of the decoder —
 // truncated payloads, over-long length prefixes, unknown versions, counts

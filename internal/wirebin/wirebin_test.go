@@ -153,6 +153,42 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRouteRequestRejectsTrailingBytes pins the one request reader of
+// the HTTP tiers: exact bodies and JSON's trailing whitespace decode, any
+// other byte after the request is an error in either codec.
+func TestReadRouteRequestRejectsTrailingBytes(t *testing.T) {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	in := wire.RouteRequest{D: 2, G: 2, Pi: []int{1, 0, 3, 2}}
+	frame := string(e.AppendRequest(&in))
+	const js = `{"d":2,"g":2,"pi":[1,0,3,2]}`
+	for _, tc := range []struct {
+		contentType, body string
+		ok                bool
+	}{
+		{"application/json", js, true},
+		{"application/json", js + " \n\t", true},
+		{"", js + "\n", true},
+		{"application/json", js + " trailing-garbage", false},
+		{"application/json", js + js, false},
+		{"application/json", js + "}", false},
+		{"application/json", "", false},
+		{ContentType, frame, true},
+		{ContentType, frame + "\n", false},
+		{ContentType, frame + frame, false},
+		{ContentType, "", false},
+	} {
+		var out wire.RouteRequest
+		err := ReadRouteRequest(tc.contentType, bytes.NewReader([]byte(tc.body)), &out)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q %q: err = %v, want ok=%v", tc.contentType, tc.body, err, tc.ok)
+		}
+		if err == nil && !reflect.DeepEqual(out, in) {
+			t.Errorf("%q %q: decoded %+v, want %+v", tc.contentType, tc.body, out, in)
+		}
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	e := GetEncoder()
 	defer PutEncoder(e)

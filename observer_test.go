@@ -36,10 +36,10 @@ func TestWithPlanObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(32)
-	if _, err := p.Route(pi); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(pi); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()

@@ -40,9 +40,7 @@ type planCache struct {
 
 // cacheEntry is one memoized plan. ident is the cache's own copy of the
 // workload's flattened identity (the permutation itself, or the src/dst
-// pairs of an h-relation), kept for the equality check on hits: under
-// WithPlanNoCopy plan.Pi aliases caller memory, which the cache must not
-// depend on.
+// pairs of an h-relation), kept for the equality check on hits.
 type cacheEntry struct {
 	key   uint64
 	kind  uint8

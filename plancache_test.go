@@ -14,11 +14,11 @@ func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(32)
-	first, err := p.Route(pi)
+	first, err := p.Execute(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Route(pi)
+	second, err := p.Execute(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {
 		t.Fatal("repeated permutation was replanned instead of served from the cache")
 	}
 	// A copy of the permutation hits too: the key is content, not identity.
-	third, err := p.Route(append([]int(nil), pi...))
+	third, err := p.Execute(context.Background(), Permutation(append([]int(nil), pi...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestPlanCacheHitIsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(32)
-	if _, err := p.Route(pi); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.Route(pi); err != nil {
+		if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -76,15 +76,15 @@ func TestPlanCacheEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pi := range [][]int{a, b} {
-		if _, err := p.Route(pi); err != nil {
+		if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch a so b becomes the LRU entry, then insert c to evict b.
-	if _, err := p.Route(a); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(a)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(c); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(c)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.CachedPlan(a); !ok {
@@ -117,7 +117,7 @@ func TestPlanCacheConcurrentRouteIsRaceFreeAndCorrect(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 25; iter++ {
 				pi := pis[(seed+iter)%len(pis)]
-				plan, err := p.Route(pi)
+				plan, err := p.Execute(context.Background(), Permutation(pi))
 				if err != nil {
 					t.Error(err)
 					return
@@ -176,7 +176,7 @@ func TestCacheStatsZeroWithoutOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(IdentityPermutation(4)); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(IdentityPermutation(4))); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.CacheStats(); got != (CacheStats{}) {

@@ -106,17 +106,6 @@ func (p *Planner) routeOne(pl *core.Planner, pi []int) (*Plan, error) {
 	return plan, nil
 }
 
-// Route plans the Theorem 2 routing of pi, reusing the planner's internal
-// buffers.
-//
-// Deprecated: use Execute with a Permutation workload, which also carries a
-// context for cancellation. Route remains a thin wrapper over it and
-// returns byte-identical plans (including fingerprint-cache behavior).
-func (p *Planner) Route(pi []int) (*Plan, error) {
-	plan, _, err := p.routePermutation(context.Background(), pi)
-	return plan, err
-}
-
 // CachedPlan reports whether pi's plan is currently memoized, returning it
 // on a verified hit. The lookup counts toward CacheStats like any other.
 // Without WithPlanCache it reports false and counts nothing.
@@ -145,8 +134,8 @@ func (p *Planner) CacheStats() CacheStats {
 	return p.cache.snapshot()
 }
 
-// PredictedSlots returns the slot count every Route call on this planner
-// will use: OptimalSlots(d, g), independent of the permutation.
+// PredictedSlots returns the slot count of every Permutation workload this
+// planner executes: OptimalSlots(d, g), independent of the permutation.
 func (p *Planner) PredictedSlots() int { return OptimalSlots(p.nw.D, p.nw.G) }
 
 // BatchError records the failure of one permutation within a RouteBatch
@@ -168,8 +157,9 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // RouteBatch plans every permutation of pis on a bounded worker pool
 // (WithParallelism workers) and returns the plans in input order. Results
-// are identical to calling Route sequentially on each permutation: workers
-// only amortize allocations, they do not change the construction.
+// are identical to calling Execute with a Permutation workload sequentially
+// on each permutation: workers only amortize allocations, they do not
+// change the construction.
 //
 // All entries are planned even when some fail. Successful plans are always
 // returned at their indices; a failing permutation leaves a nil plan at its

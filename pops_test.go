@@ -4,12 +4,18 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"pops/internal/core"
 )
 
 func TestFacadeRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pi := RandomPermutation(64, rng)
-	plan, err := Route(8, 8, pi)
+	p, err := NewPlanner(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Execute(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +31,24 @@ func TestFacadeRouteWithAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pi := RandomDerangement(24, rng)
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
-		plan, err := Route(4, 6, pi, WithAlgorithm(algo), WithVerify(true))
+		p, err := NewPlanner(4, 6, WithAlgorithm(algo), WithVerify(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := p.Execute(context.Background(), Permutation(pi))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
 		if plan.Strategy != StrategyTheoremTwo {
 			t.Fatalf("%v: strategy = %q, want %q", algo, plan.Strategy, StrategyTheoremTwo)
 		}
-		// The deprecated struct-options entry point must agree.
-		old, err := RouteWith(4, 6, pi, Options{Algorithm: algo})
+		// The one-shot core planner with the struct options must agree.
+		ref, err := core.PlanRoute(4, 6, pi, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if old.SlotCount() != plan.SlotCount() {
-			t.Fatalf("%v: RouteWith slots %d != Route slots %d", algo, old.SlotCount(), plan.SlotCount())
+		if ref.SlotCount() != plan.SlotCount() {
+			t.Fatalf("%v: core.PlanRoute slots %d != Execute slots %d", algo, ref.SlotCount(), plan.SlotCount())
 		}
 	}
 }
@@ -72,6 +82,17 @@ func TestFacadeGreedyAndSingleSlot(t *testing.T) {
 	if plan.Strategy != StrategyGreedy {
 		t.Fatalf("strategy = %q, want %q", plan.Strategy, StrategyGreedy)
 	}
+	direct, err := NewDirectOptimal(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dplan, err := direct.Route(pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dplan.SlotCount() != 4 {
+		t.Fatalf("direct-optimal slots = %d, want 4", dplan.SlotCount())
+	}
 	ok, err := IsOneSlotRoutable(4, 4, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -88,43 +109,7 @@ func TestFacadeGreedyAndSingleSlot(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers keeps the legacy free functions working: they must
-// delegate to the routers and produce identical slot counts.
-func TestDeprecatedWrappers(t *testing.T) {
-	pi, err := GroupRotation(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, slots, err := GreedyRoute(4, 4, pi); err != nil || slots != 4 {
-		t.Fatalf("GreedyRoute = %d slots, err %v; want 4, nil", slots, err)
-	}
-	if _, slots, err := DirectOptimalRoute(4, 4, pi); err != nil || slots != 4 {
-		t.Fatalf("DirectOptimalRoute = %d slots, err %v; want 4, nil", slots, err)
-	}
-	if _, err := OneSlotRoute(4, 4, pi); err == nil {
-		t.Fatal("OneSlotRoute accepted unroutable permutation")
-	}
-}
-
 func TestFacadeBroadcastAndRun(t *testing.T) {
-	nw, err := NewNetwork(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := BroadcastSchedule(nw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Run(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.PacketsMoved) != 1 || tr.PacketsMoved[0] != nw.N() {
-		t.Fatalf("broadcast trace = %+v", tr)
-	}
-
-	// The OneToAll workload carries the same schedule plus the broadcast
-	// delivery contract on Verify.
 	p, err := NewPlanner(2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +123,16 @@ func TestFacadeBroadcastAndRun(t *testing.T) {
 	}
 	if _, err := plan.Verify(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Replaying the plan's schedule on the simulator moves every packet in
+	// the one slot.
+	tr, err := Run(plan.Schedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.PacketsMoved) != 1 || tr.PacketsMoved[0] != p.Network().N() {
+		t.Fatalf("broadcast trace = %+v", tr)
 	}
 }
 
@@ -183,7 +178,11 @@ func TestFacadePermutationFamilies(t *testing.T) {
 
 func TestFacadeHRelation(t *testing.T) {
 	reqs := []Request{{Src: 0, Dst: 3}, {Src: 0, Dst: 2}, {Src: 1, Dst: 3}}
-	plan, err := RouteHRelation(2, 2, reqs)
+	p, err := NewPlanner(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Execute(context.Background(), HRelation(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,11 @@ func TestFacadeHRelation(t *testing.T) {
 }
 
 func TestFacadeAllToAll(t *testing.T) {
-	plan, err := RouteAllToAll(2, 2)
+	p, err := NewPlanner(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Execute(context.Background(), AllToAll())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package pops
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -52,7 +51,7 @@ var (
 // exhaustion.
 //
 // A PlanStream is not safe for concurrent use, but different streams of one
-// Planner — and concurrent Route/RouteBatch calls — are independent.
+// Planner — and concurrent Execute/RouteBatch calls — are independent.
 type PlanStream struct {
 	p      *Planner
 	worker *core.Planner
@@ -83,15 +82,6 @@ type PlanStream struct {
 	// observed at ExecuteStream time).
 	span     *obs.Span
 	obsStart time.Time
-}
-
-// RouteStream begins streaming the Theorem 2 routing of pi.
-//
-// Deprecated: use ExecuteStream with a Permutation workload, which also
-// carries a context for cancellation. RouteStream remains a thin wrapper
-// over it and behaves identically.
-func (p *Planner) RouteStream(pi []int) (*PlanStream, error) {
-	return p.ExecuteStream(context.Background(), Permutation(pi))
 }
 
 // Next emits the next slot fragment; ok is false once the stream is

@@ -2,6 +2,7 @@ package pops
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -48,8 +49,8 @@ func plansEqual(t *testing.T, got, want *Plan, context string) {
 }
 
 // TestRouteStreamCollectEqualsRoute pins the headline contract: for every
-// shape and seed, RouteStream(pi).Collect() is slot-for-slot identical to
-// Route(pi).
+// shape and seed, ExecuteStream(Permutation(pi)).Collect() is slot-for-slot
+// identical to Execute(Permutation(pi)).
 func TestRouteStreamCollectEqualsRoute(t *testing.T) {
 	for _, s := range []struct{ d, g int }{{1, 5}, {2, 2}, {3, 3}, {2, 8}, {8, 4}, {4, 16}, {12, 8}} {
 		p, err := NewPlanner(s.d, s.g)
@@ -58,11 +59,11 @@ func TestRouteStreamCollectEqualsRoute(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			pi := RandomPermutation(s.d*s.g, rand.New(rand.NewSource(seed)))
-			want, err := p.Route(pi)
+			want, err := p.Execute(context.Background(), Permutation(pi))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, err := p.RouteStream(pi)
+			ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +75,7 @@ func TestRouteStreamCollectEqualsRoute(t *testing.T) {
 
 			// Draining fragment by fragment then reading the plan must give
 			// the same result as Collect.
-			ps2, err := p.RouteStream(pi)
+			ps2, err := p.ExecuteStream(context.Background(), Permutation(pi))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +103,11 @@ func TestRouteStreamCollectEqualsRouteQuick(t *testing.T) {
 			return false
 		}
 		pi := RandomPermutation(d*g, rand.New(rand.NewSource(seed)))
-		want, err := p.Route(pi)
+		want, err := p.Execute(context.Background(), Permutation(pi))
 		if err != nil {
 			return false
 		}
-		ps, err := p.RouteStream(pi)
+		ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 		if err != nil {
 			return false
 		}
@@ -128,7 +129,7 @@ func TestRouteStreamCollectEqualsRouteQuick(t *testing.T) {
 
 // FuzzRouteStreamCollect is the native-fuzzer form of the equivalence
 // property: for fuzzer-chosen shapes, backends and permutation seeds,
-// RouteStream.Collect must reproduce Route slot for slot.
+// ExecuteStream's Collect must reproduce Execute slot for slot.
 func FuzzRouteStreamCollect(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(0), int64(1))
 	f.Add(uint8(4), uint8(2), uint8(1), int64(2))
@@ -143,11 +144,11 @@ func FuzzRouteStreamCollect(f *testing.F) {
 			t.Fatal(err)
 		}
 		pi := RandomPermutation(d*g, rand.New(rand.NewSource(seed)))
-		want, err := p.Route(pi)
+		want, err := p.Execute(context.Background(), Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := p.RouteStream(pi)
+		ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,8 +161,8 @@ func FuzzRouteStreamCollect(f *testing.F) {
 }
 
 // TestRouteStreamConcurrentWithRoute interleaves a slow fragment-by-fragment
-// stream consumer with concurrent Route and RouteStream traffic on the same
-// Planner — the -race test of the issue. Results must be independent.
+// stream consumer with concurrent Execute and ExecuteStream traffic on the
+// same Planner under -race. Results must be independent.
 func TestRouteStreamConcurrentWithRoute(t *testing.T) {
 	const d, g = 6, 8
 	p, err := NewPlanner(d, g, WithParallelism(4))
@@ -170,12 +171,12 @@ func TestRouteStreamConcurrentWithRoute(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	streamPi := RandomPermutation(d*g, rng)
-	want, err := p.Route(streamPi)
+	want, err := p.Execute(context.Background(), Permutation(streamPi))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ps, err := p.RouteStream(streamPi)
+	ps, err := p.ExecuteStream(context.Background(), Permutation(streamPi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestRouteStreamConcurrentWithRoute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				plan, err := p.Route(pi)
+				plan, err := p.Execute(context.Background(), Permutation(pi))
 				if err != nil {
 					t.Errorf("concurrent route: %v", err)
 					return
@@ -231,7 +232,7 @@ func TestRouteStreamCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(d * g)
-	ps, err := p.RouteStream(pi)
+	ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestRouteStreamCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := p.RouteStream(pi)
+	ps2, err := p.ExecuteStream(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRouteStreamCacheHit(t *testing.T) {
 	if second != first {
 		t.Fatal("cached stream did not return the memoized plan pointer")
 	}
-	// A stream-built plan must also serve Route hits.
+	// A stream-built plan must also serve Execute hits.
 	if _, ok := p.CachedPlan(pi); !ok {
 		t.Fatal("collected stream plan was not memoized")
 	}
@@ -281,7 +282,7 @@ func TestRouteStreamVerifyOnDrainedCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(d * g)
-	ps, err := p.RouteStream(pi)
+	ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestRouteStreamCloseReleasesWorker(t *testing.T) {
 	}
 	pi := RandomPermutation(d*g, rand.New(rand.NewSource(13)))
 	for i := 0; i < 3; i++ {
-		ps, err := p.RouteStream(pi)
+		ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestRouteStreamCloseReleasesWorker(t *testing.T) {
 		t.Fatalf("free list holds %d workers after closes, want 1", len(p.free))
 	}
 	// The recycled worker must still plan correctly.
-	plan, err := p.Route(pi)
+	plan, err := p.Execute(context.Background(), Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +343,10 @@ func TestRouteStreamCloseReleasesWorker(t *testing.T) {
 	}
 }
 
-// TestRouteStreamAllocBudget keeps the streaming path inside the batch
-// path's allocation budget: a full RouteStream + drain cycle on a warmed
-// planner must not allocate more than Route plus the stream bookkeeping.
-func TestRouteStreamAllocBudget(t *testing.T) {
+// TestExecuteStreamAllocBudget keeps the streaming path inside the batch
+// path's allocation budget: a full ExecuteStream + drain cycle on a warmed
+// planner must not allocate more than Execute plus the stream bookkeeping.
+func TestExecuteStreamAllocBudget(t *testing.T) {
 	const d, g = 8, 8
 	p, err := NewPlanner(d, g, WithParallelism(1))
 	if err != nil {
@@ -353,7 +354,7 @@ func TestRouteStreamAllocBudget(t *testing.T) {
 	}
 	pi := RandomPermutation(d*g, rand.New(rand.NewSource(17)))
 	drain := func() {
-		ps, err := p.RouteStream(pi)
+		ps, err := p.ExecuteStream(context.Background(), Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,15 +364,15 @@ func TestRouteStreamAllocBudget(t *testing.T) {
 	}
 	drain() // warm the worker free list
 	route := testing.AllocsPerRun(20, func() {
-		if _, err := p.Route(pi); err != nil {
+		if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	stream := testing.AllocsPerRun(20, drain)
-	// Route's steady state is 9 allocs/op (see BENCH baselines); the stream
-	// adds only its fixed handles: the public and core stream structs and
-	// the edgecolor stream handle.
+	// Execute's steady state is 9 allocs/op (see BENCH baselines); the
+	// stream adds only its fixed handles: the public and core stream structs
+	// and the edgecolor stream handle.
 	if stream > route+4 {
-		t.Errorf("RouteStream+Collect allocates %.1f/op vs Route's %.1f/op (budget +4)", stream, route)
+		t.Errorf("ExecuteStream+Collect allocates %.1f/op vs Execute's %.1f/op (budget +4)", stream, route)
 	}
 }

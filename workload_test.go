@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"pops/internal/core"
 )
 
 // randomRelation builds the union of h random permutations on n processors:
@@ -20,6 +22,21 @@ func randomRelation(n, h int, rng *rand.Rand) []Request {
 		}
 	}
 	return reqs
+}
+
+// corePlanHRelation plans reqs on a fresh core planner: the one-shot
+// reference the pooled Execute surface must reproduce byte for byte.
+func corePlanHRelation(t testing.TB, d, g int, reqs []Request, opts ...Option) *Plan {
+	t.Helper()
+	pl, err := core.NewPlanner(d, g, NewOptions(opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pl.PlanHRelation(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 // schedulesEqual renders both schedules to their canonical text and fails
@@ -38,9 +55,8 @@ func schedulesEqual(t *testing.T, got, want *Schedule, context string) {
 	}
 }
 
-// TestExecutePermutationEqualsRoute pins the migration contract of the
-// deprecated wrappers: Execute(Permutation(pi)) is byte-identical to
-// Route(pi) on every shape.
+// TestExecutePermutationEqualsRoute pins Execute(Permutation(pi)) to the
+// one-shot reference core.PlanRoute: byte-identical plans on every shape.
 func TestExecutePermutationEqualsRoute(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range []struct{ d, g int }{{1, 5}, {2, 2}, {3, 3}, {8, 4}, {4, 16}} {
@@ -50,7 +66,7 @@ func TestExecutePermutationEqualsRoute(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			pi := RandomPermutation(s.d*s.g, rand.New(rand.NewSource(seed)))
-			want, err := p.Route(pi)
+			want, err := core.PlanRoute(s.d, s.g, pi, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,9 +83,35 @@ func TestExecutePermutationEqualsRoute(t *testing.T) {
 	}
 }
 
+// TestPlanOwnsPermutation pins plan ownership: a Plan snapshots the
+// permutation, so it never aliases the caller's slice and does not change
+// when the caller reuses it — on the colored path and the d = 1 direct path.
+func TestPlanOwnsPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, s := range []struct{ d, g int }{{8, 8}, {1, 16}} {
+		p, err := NewPlanner(s.d, s.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi := RandomPermutation(s.d*s.g, rng)
+		plan, err := p.Execute(context.Background(), Permutation(pi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &plan.Pi[0] == &pi[0] {
+			t.Fatalf("d=%d g=%d: Plan aliases the caller's permutation", s.d, s.g)
+		}
+		saved := plan.Pi[0]
+		pi[0], pi[1] = pi[1], pi[0]
+		if plan.Pi[0] != saved {
+			t.Fatalf("d=%d g=%d: Plan changed when the caller's slice was mutated", s.d, s.g)
+		}
+	}
+}
+
 // TestExecuteStreamHRelationEqualsRouteHRelation pins the h-relation side:
-// Execute(HRelation(reqs)), ExecuteStream(HRelation(reqs)).Collect() and the
-// deprecated RouteHRelation wrapper produce slot-for-slot identical
+// Execute(HRelation(reqs)), ExecuteStream(HRelation(reqs)).Collect() and a
+// fresh core planner's PlanHRelation produce slot-for-slot identical
 // schedules, and the streamed fragments tile the schedule exactly.
 func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
 	ctx := context.Background()
@@ -80,10 +122,7 @@ func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			reqs := randomRelation(s.d*s.g, s.h, rand.New(rand.NewSource(seed)))
-			legacy, err := RouteHRelation(s.d, s.g, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			legacy := corePlanHRelation(t, s.d, s.g, reqs)
 			batch, err := p.Execute(ctx, HRelation(reqs))
 			if err != nil {
 				t.Fatal(err)
@@ -115,7 +154,7 @@ func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
 				t.Fatalf("d=%d g=%d seed=%d: factor listings diverge", s.d, s.g, seed)
 			}
 			schedulesEqual(t, streamed.Schedule(), batch.Schedule(), "stream-vs-execute")
-			schedulesEqual(t, batch.Schedule(), legacy.Schedule(), "execute-vs-wrapper")
+			schedulesEqual(t, batch.Schedule(), legacy.Schedule(), "execute-vs-core")
 			if _, err := streamed.Verify(); err != nil {
 				t.Fatalf("d=%d g=%d seed=%d: %v", s.d, s.g, seed, err)
 			}
@@ -188,8 +227,8 @@ func TestExecuteHRelationQuick(t *testing.T) {
 }
 
 // FuzzExecuteStreamHRelation is the native-fuzzer form: fuzzer-chosen
-// shapes, degrees, backends and seeds must keep stream and batch h-relation
-// planning byte-identical and deliverable.
+// shapes, degrees, backends and seeds must keep stream, batch and a fresh
+// core planner's h-relation planning byte-identical and deliverable.
 func FuzzExecuteStreamHRelation(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(0), int64(1))
 	f.Add(uint8(4), uint8(3), uint8(3), uint8(1), int64(7))
@@ -217,6 +256,8 @@ func FuzzExecuteStreamHRelation(f *testing.F) {
 			t.Fatal(err)
 		}
 		schedulesEqual(t, streamed.Schedule(), batch.Schedule(), "fuzz stream-vs-batch")
+		ref := corePlanHRelation(t, d, g, reqs, WithAlgorithm(algo))
+		schedulesEqual(t, batch.Schedule(), ref.Schedule(), "fuzz batch-vs-core")
 		if _, err := streamed.Verify(); err != nil {
 			t.Fatal(err)
 		}
@@ -224,15 +265,13 @@ func FuzzExecuteStreamHRelation(f *testing.F) {
 }
 
 // TestExecuteAllToAllMatchesWrapperAndCaches pins the AllToAll workload to
-// the deprecated wrapper and its plan-cache behavior: the exchange is fully
+// a fresh core planner's PlanHRelation over core.AllToAllRequests, and its
+// plan-cache behavior: the exchange is fully
 // determined by the shape, so a second Execute is a cache hit returning the
 // same *Plan.
 func TestExecuteAllToAllMatchesWrapperAndCaches(t *testing.T) {
 	ctx := context.Background()
-	legacy, err := RouteAllToAll(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := corePlanHRelation(t, 2, 3, core.AllToAllRequests(2*3))
 	p, err := NewPlanner(2, 3, WithPlanCache(4))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +283,7 @@ func TestExecuteAllToAllMatchesWrapperAndCaches(t *testing.T) {
 	if first.H != 2*3-1 || first.Strategy != StrategyHRelation {
 		t.Fatalf("all-to-all plan: h=%d strategy=%q", first.H, first.Strategy)
 	}
-	schedulesEqual(t, first.Schedule(), legacy.Schedule(), "all-to-all-vs-wrapper")
+	schedulesEqual(t, first.Schedule(), legacy.Schedule(), "all-to-all-vs-core")
 	second, cached, err := p.ExecuteCached(ctx, AllToAll())
 	if err != nil || !cached || second != first {
 		t.Fatalf("second all-to-all: cached=%v same=%v err=%v", cached, second == first, err)
@@ -418,9 +457,9 @@ func TestExecuteStreamCancelMidStream(t *testing.T) {
 
 // TestHRelationPooledAllocBudget is the alloc-guard half of moving
 // h-relations onto the pooled planners: steady-state Execute on a warmed
-// planner must allocate well under half of what the per-call deprecated
-// RouteHRelation costs (which rebuilds planner, arenas and demand graph
-// every call).
+// planner must allocate well under half of what a per-call NewPlanner plus
+// Execute costs (which rebuilds planner, arenas and demand graph every
+// call).
 func TestHRelationPooledAllocBudget(t *testing.T) {
 	const d, g, h = 4, 8, 3
 	p, err := NewPlanner(d, g, WithParallelism(1))
@@ -438,7 +477,11 @@ func TestHRelationPooledAllocBudget(t *testing.T) {
 		}
 	})
 	perCall := testing.AllocsPerRun(10, func() {
-		if _, err := RouteHRelation(d, g, reqs); err != nil {
+		fresh, err := NewPlanner(d, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Execute(ctx, HRelation(reqs)); err != nil {
 			t.Fatal(err)
 		}
 	})
