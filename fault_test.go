@@ -288,3 +288,42 @@ func TestFaultyPlanSlotBound(t *testing.T) {
 			s.d, s.g, len(fs.Couplers), plan.SlotCount(), OptimalSlots(s.d, s.g), faultRoundFloor(s.d, s.g, fs), bound)
 	}
 }
+
+// TestFaultyPermutationBalancedShapes repairs random fault sets on the two
+// kinds of d < g balanced coloring: POPS(16,64), where d | g and the classes
+// are cut straight from the factors, and POPS(24,64), where d ∤ g and the
+// classes are equalized by Kempe flips. Every repaired plan must deliver pi
+// on the fault-injected simulator without driving a dead coupler and stay
+// within TestFaultyPlanSlotBound's degradation budget.
+func TestFaultyPermutationBalancedShapes(t *testing.T) {
+	ctx := context.Background()
+	for _, s := range []struct{ d, g int }{{16, 64}, {24, 64}} {
+		p, err := NewPlanner(s.d, s.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pi := RandomPermutation(s.d*s.g, rng)
+			var fs FaultSet
+			for i := rng.Intn(s.g / 4); i >= 0; i-- {
+				fs.Couplers = append(fs.Couplers, Coupler{B: rng.Intn(s.g), A: rng.Intn(s.g)})
+			}
+			plan, err := p.Execute(ctx, FaultyPermutation(pi, fs))
+			if err != nil {
+				t.Fatalf("POPS(%d,%d) seed %d: %v", s.d, s.g, seed, err)
+			}
+			assertFaultFree(t, plan, pi, fs)
+			touched := make(map[int]bool)
+			for _, c := range fs.Canonical().Couplers {
+				touched[c.B] = true
+				touched[c.A] = true
+			}
+			bound := max(OptimalSlots(s.d, s.g), 2*faultRoundFloor(s.d, s.g, fs)) + len(touched)
+			if plan.SlotCount() > bound {
+				t.Errorf("POPS(%d,%d) seed %d: %d slots exceeds the degradation bound %d",
+					s.d, s.g, seed, plan.SlotCount(), bound)
+			}
+		}
+	}
+}

@@ -21,8 +21,9 @@ import (
 //   - the matching routines (Hopcroft–Karp, the Alon Euler-halving perfect
 //     matcher) and the Euler splitter write into caller-provided buffers
 //     owned by the arena (matching.Matcher, graph.Splitter);
-//   - the BalancedInto padding graph is rebuilt in place (graph.Reset) when the
-//     shape repeats.
+//   - BalancedInto cuts the factors into classes in place and equalizes
+//     the class sizes with Kempe flips over an arena-owned Recolorer, so
+//     no second graph is built.
 //
 // After a warm-up call per shape, FactorizeInto and BalancedInto perform no
 // heap allocations. The zero value is ready to use. A Factorizer is not
@@ -46,11 +47,12 @@ type Factorizer struct {
 	inMatch    bitvec.Vec
 	stack      []segTask
 	factorBuf  []int // edge IDs of the factor peeled by a matching step
-	realBuf    []int // factorBuf filtered to real (unpadded) edge IDs
+	offs       []int // class c of a bucketed coloring is ids[offs[c]:offs[c+1]]
 
-	// Repeated-matching resumption state: the round about to be extracted
-	// and the live segment length. The Euler-split stepper needs no extra
-	// state — its work stack is the resumable position.
+	// Repeated-matching and insertion resumption state: the round about to
+	// be extracted, the factor count and the live segment length. The
+	// Euler-split stepper needs no extra state — its work stack is the
+	// resumable position.
 	repRound, repK, repLen int
 
 	// streamGen invalidates the in-flight Stream (see Start) whenever
@@ -62,10 +64,11 @@ type Factorizer struct {
 	colL, colR []int
 	path       []int
 
-	// Balanced scratch: the Theorem 1 padding graph and its coloring.
-	padded     *graph.Bipartite
-	padColors  []int
+	// Balanced scratch: the class sizes and the Kempe-flip tables of the
+	// equalizing step, see equalize.
 	classCount []int
+	rec        Recolorer
+	yielded    bitvec.Vec // classes a balanced Stream has yielded so far
 }
 
 // segTask is one pending subproblem of the Euler-split divide and conquer:
@@ -115,22 +118,44 @@ func (f *Factorizer) FactorizeInto(colors []int, b *graph.Bipartite, algo Algori
 		return fmt.Errorf("edgecolor: %d color slots for %d edges", len(colors), b.NumEdges())
 	}
 	f.streamGen++ // supersede any in-flight Stream; the arena is reused now
-	switch algo {
-	case RepeatedMatching:
-		return f.factorizeRepeated(colors, b, k)
-	case EulerSplitDC:
-		return f.factorizeEuler(colors, b, k)
-	case Insertion:
-		c, err := f.colorInsertionInto(colors, b)
-		if err != nil {
+	if err := f.stepStart(b, k, algo); err != nil {
+		return err
+	}
+	for {
+		_, _, ok, err := f.step(algo, colors, b)
+		if err != nil || !ok {
 			return err
 		}
-		if c > k {
-			return fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, k)
-		}
-		return nil
+	}
+}
+
+// stepStart seeds algo's stepper for a fresh 1-factorization of the
+// k-regular graph b. Batch calls and Streams drain the same steppers, so
+// their colorings cannot diverge.
+func (f *Factorizer) stepStart(b *graph.Bipartite, k int, algo Algorithm) error {
+	switch algo {
+	case EulerSplitDC:
+		f.eulerStart(b, k)
+	case RepeatedMatching, Insertion:
+		f.repStart(b, k)
 	default:
 		return fmt.Errorf("edgecolor: unknown algorithm %v", algo)
+	}
+	return nil
+}
+
+// step resumes algo's stepper until one more 1-factor of b is complete. It
+// writes the factor's class index into colors for each of its edges and
+// returns the edge IDs (arena-owned, valid until the next arena call); ok
+// is false once every factor has been produced.
+func (f *Factorizer) step(algo Algorithm, colors []int, b *graph.Bipartite) (factorID int, factor []int, ok bool, err error) {
+	switch algo {
+	case EulerSplitDC:
+		return f.eulerNext(colors, b.EdgeList(), b.NLeft(), b.NRight())
+	case RepeatedMatching:
+		return f.repNext(colors, b.EdgeList(), b.NLeft(), b.NRight())
+	default:
+		return f.insNext(colors, b)
 	}
 }
 
@@ -151,9 +176,6 @@ func (f *Factorizer) prepare(m, nL int) {
 	}
 	if cap(f.factorBuf) < nL {
 		f.factorBuf = make([]int, 0, nL)
-	}
-	if cap(f.realBuf) < nL {
-		f.realBuf = make([]int, 0, nL)
 	}
 }
 
@@ -252,25 +274,7 @@ func (f *Factorizer) eulerNext(colors []int, all []graph.Edge, nL, nR int) (fact
 	return 0, nil, false, nil
 }
 
-// factorizeEuler drains the Euler-split stepper — the batch path and
-// Stream.Next resume exactly the same loop, so their colorings cannot
-// diverge.
-func (f *Factorizer) factorizeEuler(colors []int, b *graph.Bipartite, k int) error {
-	f.eulerStart(b, k)
-	all := b.EdgeList()
-	nL, nR := b.NLeft(), b.NRight()
-	for {
-		_, _, ok, err := f.eulerNext(colors, all, nL, nR)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-}
-
-// repStart resets the repeated-matching resumption state.
+// repStart resets the repeated-matching (and insertion) resumption state.
 func (f *Factorizer) repStart(b *graph.Bipartite, k int) {
 	m := b.NumEdges()
 	f.prepare(m, b.NLeft())
@@ -303,19 +307,51 @@ func (f *Factorizer) repNext(colors []int, all []graph.Edge, nL, nR int) (factor
 	return round, f.factorBuf, true, nil
 }
 
-// factorizeRepeated drains the repeated-matching stepper (see
-// factorizeEuler on why batch and stream share it).
-func (f *Factorizer) factorizeRepeated(colors []int, b *graph.Bipartite, k int) error {
-	f.repStart(b, k)
-	all := b.EdgeList()
-	nL, nR := b.NLeft(), b.NRight()
-	for {
-		_, _, ok, err := f.repNext(colors, all, nL, nR)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+// insNext adapts the insertion coloring — which repairs earlier colors
+// along alternating paths and therefore cannot expose intermediate state —
+// to the stepper contract: the full coloring is materialized on the first
+// call and bucketed by class, then emitted one class per call in ascending
+// class order, each class in ascending edge-ID order.
+func (f *Factorizer) insNext(colors []int, b *graph.Bipartite) (factorID int, factor []int, ok bool, err error) {
+	if f.repRound >= f.repK {
+		return 0, nil, false, nil
 	}
+	if f.repRound == 0 {
+		c, err := f.colorInsertionInto(colors, b)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if c > f.repK {
+			return 0, nil, false, fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, f.repK)
+		}
+		f.bucket(colors, f.repK)
+	}
+	factorID = f.repRound
+	f.repRound++
+	return factorID, f.class(factorID), true, nil
 }
+
+// bucket counting-sorts the edge IDs by their color in [0, ncolor) into
+// ids, stably, so class(c) lists class c in ascending edge-ID order.
+func (f *Factorizer) bucket(colors []int, ncolor int) {
+	f.ids = graph.ResizeInts(f.ids, len(colors))
+	f.offs = graph.ResizeInts(f.offs, ncolor+1)
+	clear(f.offs)
+	for _, c := range colors {
+		f.offs[c+1]++
+	}
+	for c := 0; c < ncolor; c++ {
+		f.offs[c+1] += f.offs[c]
+	}
+	// Place each edge at its class's running cursor (offs[c]), then shift
+	// the cursors back down to class starts.
+	for id, c := range colors {
+		f.ids[f.offs[c]] = id
+		f.offs[c]++
+	}
+	copy(f.offs[1:], f.offs[:ncolor])
+	f.offs[0] = 0
+}
+
+// class returns the edge IDs of class c of the last bucket call.
+func (f *Factorizer) class(c int) []int { return f.ids[f.offs[c]:f.offs[c+1]] }

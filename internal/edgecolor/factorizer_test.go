@@ -207,21 +207,51 @@ func TestFactorizerAllocBudget(t *testing.T) {
 			t.Errorf("%v: FactorizeInto allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with padding (the d < g planner path): C = n > k.
-	b := randomRegular(24, 6, rand.New(rand.NewSource(72)))
-	f := NewFactorizer()
-	colors := make([]int, b.NumEdges())
-	if err := f.BalancedInto(colors, b, 24, EulerSplitDC); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := f.BalancedInto(colors, b, 24, EulerSplitDC); err != nil {
+	for _, sh := range balancedAllocShapes(t) {
+		b := randomRegular(sh.n, sh.k, rand.New(rand.NewSource(sh.seed)))
+		f := NewFactorizer()
+		colors := make([]int, b.NumEdges())
+		if err := f.BalancedInto(colors, b, sh.colors, sh.algo); err != nil { // warm up
 			t.Fatal(err)
 		}
-	})
-	if allocs > budget {
-		t.Errorf("BalancedInto allocates %.1f/op on a warmed arena, budget %d", allocs, budget)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.BalancedInto(colors, b, sh.colors, sh.algo); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("%s: BalancedInto allocates %.1f/op on a warmed arena, budget %d", sh.name, allocs, budget)
+		}
 	}
+}
+
+// balancedAllocShape is one BalancedInto instance of the allocation guards;
+// kempe says whether it needs the equalizing step.
+type balancedAllocShape struct {
+	name         string
+	n, k, colors int
+	seed         int64
+	algo         Algorithm
+	kempe        bool
+}
+
+// balancedAllocShapes are the d < g planner paths the allocation guards pin:
+// the POPS(16,64) demand graph (s = d divides n = g, so cutting the factors
+// is enough) and the POPS(24,64) one (s ∤ n, so the Kempe equalizing step
+// runs), under the default RepeatedMatching, plus a small d | g shape under
+// EulerSplitDC. It fails the test if a shape stops exercising its path.
+func balancedAllocShapes(t *testing.T) []balancedAllocShape {
+	shapes := []balancedAllocShape{
+		{"POPS(16,64) repeated-matching", 64, 16, 64, 73, RepeatedMatching, false},
+		{"POPS(24,64) repeated-matching", 64, 24, 64, 74, RepeatedMatching, true},
+		{"POPS(6,24) euler-split", 24, 6, 24, 72, EulerSplitDC, false},
+	}
+	for _, sh := range shapes {
+		if newCut(sh.n, sh.n*sh.k/sh.colors, sh.k).exact() == sh.kempe {
+			t.Fatalf("%s: the Kempe step runs = %v, want %v", sh.name, !sh.kempe, sh.kempe)
+		}
+	}
+	return shapes
 }
 
 // BenchmarkFactorizerReuse contrasts a fresh arena per call with a reused

@@ -15,7 +15,9 @@ import (
 // family of graphs. The file was recorded with the original recursive
 // implementation (pre-Factorizer); the arena engine must reproduce it
 // byte-identically, so any diff means the deterministic coloring behaviour
-// changed — review deliberately and regenerate with REGEN_GOLDEN=1.
+// changed — review deliberately and regenerate with REGEN_GOLDEN=1. The
+// balanced lines pin PaddedBalancedInto, the paper's padded construction;
+// BalancedInto is cross-checked against it by FuzzBalancedMatchesReference.
 const goldenPath = "testdata/factorize_golden.txt"
 
 func goldenBundle(g, d int) *graph.Bipartite {
@@ -63,7 +65,8 @@ func goldenLines() []string {
 		}
 		for _, tc := range balanced {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			colors, err := balancedColors(b, tc.colors, algo)
+			colors := make([]int, b.NumEdges())
+			err := PaddedBalancedInto(colors, b, tc.colors, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden balanced %v n=%d k=%d C=%d: %v", algo, tc.n, tc.k, tc.colors, err))
 			}

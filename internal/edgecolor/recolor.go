@@ -33,33 +33,41 @@ type Recolorer struct {
 // and mutated in place by Recolor/FlipComponent. It returns an error if the
 // coloring is out of range or not proper.
 func NewRecolorer(g *graph.Bipartite, colors []int, ncolor int) (*Recolorer, error) {
+	r := &Recolorer{}
+	if err := r.index(g, colors, ncolor); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// index (re)builds the tables of r for the coloring colors of g, reusing
+// their storage: a Recolorer held by value in an arena re-indexes without
+// allocating once it has seen the shape.
+func (r *Recolorer) index(g *graph.Bipartite, colors []int, ncolor int) error {
 	if len(colors) != g.NumEdges() {
-		return nil, fmt.Errorf("edgecolor: %d colors for %d edges", len(colors), g.NumEdges())
+		return fmt.Errorf("edgecolor: %d colors for %d edges", len(colors), g.NumEdges())
 	}
-	r := &Recolorer{
-		g:      g,
-		colors: colors,
-		nL:     g.NLeft(),
-		nR:     g.NRight(),
-		ncolor: ncolor,
-		colL:   make([]int, ncolor*g.NLeft()),
-		colR:   make([]int, ncolor*g.NRight()),
-	}
+	r.g, r.colors, r.ncolor = g, colors, ncolor
+	r.nL, r.nR = g.NLeft(), g.NRight()
+	r.colL = graph.ResizeInts(r.colL, ncolor*r.nL)
+	r.colR = graph.ResizeInts(r.colR, ncolor*r.nR)
+	clear(r.colL)
+	clear(r.colR)
 	for e, c := range colors {
 		if c < 0 || c >= ncolor {
-			return nil, fmt.Errorf("edgecolor: edge %d has color %d outside [0,%d)", e, c, ncolor)
+			return fmt.Errorf("edgecolor: edge %d has color %d outside [0,%d)", e, c, ncolor)
 		}
 		ed := g.Edge(e)
 		if prev := r.colL[c*r.nL+ed.L]; prev != 0 {
-			return nil, fmt.Errorf("edgecolor: color %d repeated at left node %d (edges %d, %d)", c, ed.L, prev-1, e)
+			return fmt.Errorf("edgecolor: color %d repeated at left node %d (edges %d, %d)", c, ed.L, prev-1, e)
 		}
 		if prev := r.colR[c*r.nR+ed.R]; prev != 0 {
-			return nil, fmt.Errorf("edgecolor: color %d repeated at right node %d (edges %d, %d)", c, ed.R, prev-1, e)
+			return fmt.Errorf("edgecolor: color %d repeated at right node %d (edges %d, %d)", c, ed.R, prev-1, e)
 		}
 		r.colL[c*r.nL+ed.L] = e + 1
 		r.colR[c*r.nR+ed.R] = e + 1
 	}
-	return r, nil
+	return nil
 }
 
 // ColorCount returns the number of colors currently tabled.

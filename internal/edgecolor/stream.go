@@ -14,11 +14,12 @@ import (
 var ErrStreamSuperseded = errors.New("edgecolor: stream superseded by a later call on its Factorizer")
 
 // Stream is a paused 1-factorization: each Next call resumes the underlying
-// algorithm just long enough to peel one more 1-factor and then suspends it
-// again, leaving the factor's class index in the caller's color buffer. It
-// is the incremental form of FactorizeInto/BalancedInto — driving a Stream
-// to exhaustion writes exactly the colors the batch call would have written,
-// because batch and stream drain the same arena steppers.
+// algorithm just long enough to complete one more color class and then
+// suspends it again, leaving the class index in the caller's color buffer.
+// It is the incremental form of FactorizeInto/BalancedInto — driving a
+// Stream to exhaustion writes exactly the colors the batch call would have
+// written, because batch and stream drain the same arena steppers and cut
+// their factors the same way.
 //
 // A Stream borrows its Factorizer's arena: starting another factorization
 // on the same arena (FactorizeInto, BalancedInto, Start, StartBalanced)
@@ -29,22 +30,25 @@ type Stream struct {
 	f    *Factorizer
 	gen  uint64
 	algo Algorithm
-	ctx  context.Context // cancellation checked between factors; nil = never
+	ctx  context.Context // cancellation checked between classes; nil = never
 
-	b     *graph.Bipartite // caller's graph; colorBuf and Factor are indexed by its edge IDs
-	inner *graph.Bipartite // graph actually factorized (the padded graph, or b itself)
-	all   []graph.Edge     // inner's edge list
-	nL    int
-	nR    int
-	k     int // total number of factors this stream will produce
+	b   *graph.Bipartite // graph being colored; colorBuf and Factor are indexed by its edge IDs
+	k   int              // regular degree of b: the stepper peels k factors
+	num int              // classes the stream yields: k, or colorCount for StartBalanced
 
-	// padded marks the Theorem 1 balanced mode: factors are peeled from the
-	// padded graph and filtered down to real edges, each class carrying
-	// exactly classSize of them.
-	padded    bool
-	classSize int
-
-	insReady bool // insertion backend: inner coloring materialized
+	// Classes are the stepper's factors cut into runs (a plain Start is the
+	// cut with one run per factor): src is the factor being cut, base its
+	// first class, and run of runs the next run to look at. A run of exactly
+	// the class size is final and is yielded at once (and marked in the
+	// arena's yielded set); the other runs wait until the last factor has
+	// landed, are equalized, and are then yielded in ascending class order
+	// from next on.
+	cut       cut
+	src       []int
+	base      int
+	run, runs int
+	settled   bool
+	next      int
 
 	produced int
 	factor   []int
@@ -66,7 +70,7 @@ func (f *Factorizer) Start(b *graph.Bipartite, algo Algorithm) *Stream {
 // returns ctx.Err() as the stream's sticky error.
 func (f *Factorizer) StartCtx(ctx context.Context, b *graph.Bipartite, algo Algorithm) *Stream {
 	f.streamGen++
-	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b, inner: b}
+	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b}
 	if b.NLeft() != b.NRight() {
 		st.err = fmt.Errorf("edgecolor: sides differ (%d vs %d)", b.NLeft(), b.NRight())
 		return st
@@ -76,67 +80,53 @@ func (f *Factorizer) StartCtx(ctx context.Context, b *graph.Bipartite, algo Algo
 		st.err = graph.ErrNotBipartiteRegular
 		return st
 	}
-	st.k = k
-	st.classSize = -1
-	st.start()
+	st.k, st.num = k, k
+	st.cut = newCut(b.NLeft(), b.NLeft(), k)
+	st.err = st.start()
 	return st
 }
 
 // StartBalanced begins a streaming balanced coloring (Theorem 1): the
-// stream yields colorCount classes of exactly n·k/C real edges each,
-// peeling them from the padded graph of BalancedInto. Driving the stream to
-// exhaustion writes exactly the colors BalancedInto would have written. The
-// per-class size check runs as each factor lands instead of at the end.
+// stream yields colorCount classes of exactly n·k/C edges each. Every run
+// that BalancedInto cuts to exactly that size is yielded as soon as the
+// factor it is cut from lands; when the class size divides n (every d | g
+// POPS shape) that is every class, so the first one costs one factor. When
+// it does not, each factor also leaves one run of another size; those k
+// classes are equalized once the last factor has landed and are yielded
+// last, in ascending class order. The equalizing step never touches a class
+// that already has the right size, so driving the stream to exhaustion
+// writes exactly the colors BalancedInto would have written.
 func (f *Factorizer) StartBalanced(b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
 	return f.StartBalancedCtx(context.Background(), b, colorCount, algo)
 }
 
-// StartBalancedCtx is StartBalanced with a context, checked between factors
+// StartBalancedCtx is StartBalanced with a context, checked between classes
 // like StartCtx.
 func (f *Factorizer) StartBalancedCtx(ctx context.Context, b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
 	f.streamGen++
-	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b, inner: b}
-	classSize, padded, err := f.balancedSetup(b, colorCount, b.NumEdges())
+	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b}
+	k, c, err := balancedSetup(b, colorCount, b.NumEdges())
 	if err != nil {
 		st.err = err
 		return st
 	}
-	st.k = colorCount
-	st.classSize = -1
-	if padded != nil {
-		st.inner = padded
-		st.padded = true
-		st.classSize = classSize
-		f.padColors = graph.ResizeInts(f.padColors, padded.NumEdges())
-	}
-	st.start()
+	st.k, st.num, st.cut = k, colorCount, c
+	st.err = st.start()
 	return st
 }
 
-// start finishes stream setup once the inner graph and factor count are
-// known: it validates the algorithm and seeds the matching stepper.
-func (st *Stream) start() {
-	st.all = st.inner.EdgeList()
-	st.nL, st.nR = st.inner.NLeft(), st.inner.NRight()
-	switch st.algo {
-	case EulerSplitDC:
-		st.f.eulerStart(st.inner, st.k)
-	case RepeatedMatching:
-		st.f.repStart(st.inner, st.k)
-	case Insertion:
-		// Materialized lazily on the first Next (the coloring needs its
-		// target buffer in hand); nothing to seed here.
-	default:
-		st.err = fmt.Errorf("edgecolor: unknown algorithm %v", st.algo)
-	}
+// start seeds the stepper and clears the arena's yielded-class set.
+func (st *Stream) start() error {
+	st.f.yielded = st.f.yielded.Resize(st.num)
+	return st.f.stepStart(st.b, st.k, st.algo)
 }
 
-// Next resumes the factorization until one more 1-factor is complete,
-// writing the factor's class index into colorBuf (indexed by edge ID of the
-// graph passed to Start/StartBalanced) for every edge of the factor. It
-// returns the class index and ok == true, or ok == false once all factors
-// have been produced. The same colorBuf must be passed to every Next call
-// of one stream; after the final factor it is identical to what the batch
+// Next resumes the coloring until one more class is complete, writing the
+// class index into colorBuf (indexed by edge ID of the graph passed to
+// Start/StartBalanced) for every edge of the class. It returns the class
+// index and ok == true, or ok == false once all classes have been produced.
+// The same colorBuf must be passed to every Next call of one stream; after
+// the final class it is identical to what the batch
 // FactorizeInto/BalancedInto call would have produced. Errors are sticky.
 func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 	if st.err != nil {
@@ -160,96 +150,77 @@ func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 		return 0, false, st.err
 	}
 
-	// In padded mode the steppers color the padded graph into the arena's
-	// padColors; the real classes are filtered out below.
-	target := colorBuf
-	if st.padded {
-		target = st.f.padColors
-	}
-	var factor []int
-	switch st.algo {
-	case EulerSplitDC:
-		factorID, factor, ok, err = st.f.eulerNext(target, st.all, st.nL, st.nR)
-	case RepeatedMatching:
-		factorID, factor, ok, err = st.f.repNext(target, st.all, st.nL, st.nR)
-	case Insertion:
-		factorID, factor, ok, err = st.insNext(target)
-	}
+	factorID, class, ok, err := st.nextClass(colorBuf)
 	if err != nil {
 		st.err = err
 		return 0, false, err
 	}
 	if !ok {
-		if st.produced != st.k {
-			st.err = fmt.Errorf("edgecolor: internal error: stream produced %d of %d factors", st.produced, st.k)
+		if st.produced != st.num {
+			st.err = fmt.Errorf("edgecolor: internal error: stream produced %d of %d classes", st.produced, st.num)
 			return 0, false, st.err
 		}
 		st.done = true
 		st.factor = nil
 		return 0, false, nil
 	}
-	if st.padded {
-		real := st.b.NumEdges()
-		st.f.realBuf = st.f.realBuf[:0]
-		for _, id := range factor {
-			if id < real {
-				st.f.realBuf = append(st.f.realBuf, id)
-				colorBuf[id] = factorID
-			}
-		}
-		factor = st.f.realBuf
-		if len(factor) != st.classSize {
-			st.err = fmt.Errorf("edgecolor: internal error: class %d has %d real edges, want %d",
-				factorID, len(factor), st.classSize)
-			return 0, false, st.err
-		}
-	}
 	st.produced++
-	st.factor = factor
+	st.factor = class
 	return factorID, true, nil
 }
 
-// insNext adapts the insertion coloring — which repairs earlier colors
-// along alternating paths and therefore cannot expose intermediate state —
-// to the stream contract: the full coloring is materialized on the first
-// call, then emitted one class per call in ascending color order.
-func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, err error) {
+// nextClass yields the next final class: the next run of exactly the class
+// size, peeling factors from the stepper as needed; once the stepper is
+// exhausted, the equalized classes that were held back.
+func (st *Stream) nextClass(colorBuf []int) (int, []int, bool, error) {
 	f := st.f
-	if !st.insReady {
-		c, err := f.colorInsertionInto(target, st.inner)
+	for !st.settled {
+		for st.run < st.runs {
+			c, class := st.base+st.run, st.cut.run(st.src, st.run, st.runs)
+			st.run++
+			if len(class) == st.cut.size {
+				f.yielded.Set(c)
+				return c, class, true, nil
+			}
+		}
+		j, factor, ok, err := f.step(st.algo, colorBuf, st.b)
 		if err != nil {
 			return 0, nil, false, err
 		}
-		if c > st.k {
-			return 0, nil, false, fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, st.k)
+		if !ok {
+			st.settled = true
+			if st.produced < st.num {
+				if err := f.equalize(colorBuf, st.b, st.num, st.cut.size); err != nil {
+					return 0, nil, false, err
+				}
+				f.bucket(colorBuf, st.num)
+			}
+			break
 		}
-		st.insReady = true
+		st.src, st.run = factor, 0
+		st.base, st.runs = st.cut.classes(j)
+		st.cut.color(colorBuf, factor, st.base, st.runs)
 	}
-	if st.produced >= st.k {
-		return 0, nil, false, nil
-	}
-	factorID = st.produced
-	f.factorBuf = f.factorBuf[:0]
-	for id, c := range target[:st.inner.NumEdges()] {
-		if c == factorID {
-			f.factorBuf = append(f.factorBuf, id)
+	for ; st.next < st.num; st.next++ {
+		if c := st.next; !f.yielded.Test(c) {
+			st.next++
+			return c, f.class(c), true, nil
 		}
 	}
-	return factorID, f.factorBuf, true, nil
+	return 0, nil, false, nil
 }
 
-// Factor returns the edge IDs of the most recently produced factor, in the
-// graph passed to Start/StartBalanced (padding edges are already filtered
-// out). The slice is arena-owned: it is valid until the next Next call or
-// any other call on the stream's Factorizer, and must not be modified. The
-// IDs are in no particular order.
+// Factor returns the edge IDs of the most recently produced class, in the
+// graph passed to Start/StartBalanced. The slice is arena-owned: it is
+// valid until the next Next call or any other call on the stream's
+// Factorizer, and must not be modified. The IDs are in no particular order.
 func (st *Stream) Factor() []int { return st.factor }
 
-// NumFactors returns the total number of factors the stream produces: the
+// NumFactors returns the total number of classes the stream produces: the
 // regular degree for Start, colorCount for StartBalanced.
-func (st *Stream) NumFactors() int { return st.k }
+func (st *Stream) NumFactors() int { return st.num }
 
-// Produced returns how many factors Next has yielded so far.
+// Produced returns how many classes Next has yielded so far.
 func (st *Stream) Produced() int { return st.produced }
 
 // Err returns the stream's sticky error, if any.

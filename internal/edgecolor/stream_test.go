@@ -220,8 +220,9 @@ func TestStreamEmptyGraph(t *testing.T) {
 // TestStreamAllocBudget extends the steady-state allocation guard to the
 // streaming path: after one warm-up stream per shape, a full Start +
 // drain-to-exhaustion cycle allocates nothing beyond the stream handle
-// itself (Next is allocation-free), for both the plain and the padded
-// balanced modes. CI runs this with make alloc-guard.
+// itself (Next is allocation-free), for the plain mode and for balanced
+// streams, with and without the equalizing step. CI runs this with make
+// alloc-guard.
 func TestStreamAllocBudget(t *testing.T) {
 	const budget = 1 // the *Stream handle; every Next is allocation-free
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
@@ -245,24 +246,25 @@ func TestStreamAllocBudget(t *testing.T) {
 			t.Errorf("%v: streaming drain allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with padding (the d < g planner path): C = n > k.
-	b := randomRegular(24, 6, rand.New(rand.NewSource(72)))
-	f := NewFactorizer()
-	colors := make([]int, b.NumEdges())
-	drain := func() {
-		st := f.StartBalanced(b, 24, EulerSplitDC)
-		for {
-			_, ok, err := st.Next(colors)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return
+	for _, sh := range balancedAllocShapes(t) {
+		b := randomRegular(sh.n, sh.k, rand.New(rand.NewSource(sh.seed)))
+		f := NewFactorizer()
+		colors := make([]int, b.NumEdges())
+		drain := func() {
+			st := f.StartBalanced(b, sh.colors, sh.algo)
+			for {
+				_, ok, err := st.Next(colors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
 			}
 		}
-	}
-	drain() // warm up
-	if allocs := testing.AllocsPerRun(10, drain); allocs > budget {
-		t.Errorf("StartBalanced: streaming drain allocates %.1f/op on a warmed arena, budget %d", allocs, budget)
+		drain() // warm up
+		if allocs := testing.AllocsPerRun(10, drain); allocs > budget {
+			t.Errorf("StartBalanced %s: streaming drain allocates %.1f/op on a warmed arena, budget %d", sh.name, allocs, budget)
+		}
 	}
 }
