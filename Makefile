@@ -113,9 +113,11 @@ bench-smoke:
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
 # a pooled slot-frame encode+decode cycle and a Reframer relay step are
 # 0 allocs/op in steady state (the measured codec delta is recorded in
-# BENCH_2026-08-08_wirebin.json).
+# BENCH_2026-08-08_wirebin.json), a POPS(16,64) schedule response decodes
+# at its exact allocation count (every slice presized, no append growth),
+# and a hostile element count fails as corrupt before it can allocate.
 alloc-guard:
 	$(call run-tests,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,-count=1,./internal/edgecolor ./internal/matching ./internal/graph)
 	$(call run-tests,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,-count=1,./internal/obs)
-	$(call run-tests,TestWireEncodeAllocBudget|TestReframerAllocBudget,-count=1,./internal/wirebin)
+	$(call run-tests,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeResponseAllocBudget|TestDecodeHostileCountBounded,-count=1,./internal/wirebin)
 	$(call run-tests,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,-count=1,.)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +18,7 @@ import (
 	"pops/internal/wirebin"
 )
 
-// The JSON wire schema of the popsserved routing service, shared with
+// The wire schema of the popsserved routing service, shared with
 // internal/service. ServiceClient speaks it; callers embedding pops into
 // their own services can reuse the types directly.
 type (
@@ -41,7 +40,7 @@ type (
 )
 
 // ServiceClient is the Go client of a popsserved routing service (see
-// cmd/popsserved and internal/service): plans are requested over HTTP/JSON
+// cmd/popsserved and internal/service): plans are requested over HTTP
 // instead of computed in-process, so many processes can share one warm
 // planner fleet — its shards, admission gates, and fingerprint plan cache.
 // Coalescing happens server-side; the client is a thin, concurrency-safe
@@ -52,11 +51,11 @@ type ServiceClient struct {
 	retry RetryPolicy
 	codec ServiceCodec
 
-	// binDown is the sticky binary-codec downgrade: set when a CodecAuto
-	// request came back 406, so every later request skips the binary Accept
-	// instead of renegotiating per call. It is shared (by pointer) across
-	// WithRetry/WithCodec copies, so one downgrade covers the whole client.
-	binDown *atomic.Bool
+	// wireState is CodecAuto's sticky negotiation state — wireUnknown,
+	// wireBinary or wireDowngraded — shared (by pointer) across
+	// WithRetry/WithCodec copies, so one binary answer or one 406 covers the
+	// whole client instead of being renegotiated per call.
+	wireState *atomic.Int32
 
 	// sleep and jitter are the retry pacing hooks, injectable so tests can
 	// pin the backoff schedule; nil selects the real clock and the shared
@@ -65,22 +64,32 @@ type ServiceClient struct {
 	jitter func(time.Duration) time.Duration
 }
 
-// ServiceCodec selects the response codec a ServiceClient negotiates for
-// /route and /route/stream. See WithCodec.
+// ServiceCodec selects the codec a ServiceClient negotiates for /route and
+// /route/stream bodies. See WithCodec.
 type ServiceCodec int
 
 const (
 	// CodecAuto (the default) asks for the binary framing with a JSON/NDJSON
-	// fallback in the same Accept header, decodes whichever codec the server
-	// chose, and downgrades the client permanently on a 406 — old servers
-	// and new servers are both spoken to transparently.
+	// fallback in the same Accept header and decodes whichever codec the
+	// server chose. Request bodies stay JSON until a binary answer proves the
+	// server speaks the codec, and go binary from then on; a 406 downgrades
+	// the client to plain JSON for good. Old servers and new servers are
+	// both spoken to transparently.
 	CodecAuto ServiceCodec = iota
 	// CodecJSON never asks for binary: requests are byte-identical to the
 	// pre-binary client, the debugging escape hatch.
 	CodecJSON
-	// CodecBinary requires the binary framing: a server answering in any
-	// other codec is an error. Use it to pin the wire format in tests.
+	// CodecBinary sends binary request bodies and requires binary answers: a
+	// server answering in any other codec is an error. Use it to pin the
+	// wire format in tests.
 	CodecBinary
+)
+
+// CodecAuto's shared negotiation states.
+const (
+	wireUnknown    int32 = iota // no binary answer yet: JSON bodies, binary offered
+	wireBinary                  // the server answered binary: binary bodies
+	wireDowngraded              // the server 406ed the offer: plain JSON for good
 )
 
 // NewServiceClient returns a client for the service at baseURL (e.g.
@@ -90,7 +99,7 @@ func NewServiceClient(baseURL string, hc *http.Client) *ServiceClient {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &ServiceClient{base: strings.TrimRight(baseURL, "/"), hc: hc, binDown: new(atomic.Bool)}
+	return &ServiceClient{base: strings.TrimRight(baseURL, "/"), hc: hc, wireState: new(atomic.Int32)}
 }
 
 // WithCodec returns a copy of the client pinned to codec. The copy shares
@@ -102,23 +111,28 @@ func (c *ServiceClient) WithCodec(codec ServiceCodec) *ServiceClient {
 	return &cp
 }
 
-// acceptHeader renders the Accept header for one call ("" sends none —
-// the legacy request shape). Streams name NDJSON as the fallback, unary
-// calls JSON.
-func (c *ServiceClient) acceptHeader(stream bool) string {
+// negotiation resolves one attempt's request-body codec and Accept header
+// ("" sends none — the legacy request shape). The CodecAuto offer names
+// binary with NDJSON (streams) or JSON (unary calls) as the fallback.
+func (c *ServiceClient) negotiation(stream bool) (body wirebin.Codec, accept string) {
 	switch {
-	case c.codec == CodecJSON, c.codec == CodecAuto && c.binDown.Load():
-		return ""
+	case c.codec == CodecJSON:
+		return wirebin.JSON, ""
 	case c.codec == CodecBinary:
-		return wirebin.ContentType
-	case stream:
-		return wirebin.ContentType + ", application/x-ndjson;q=0.9"
-	default:
-		return wirebin.ContentType + ", application/json;q=0.9"
+		return wirebin.Binary, wirebin.Binary.ContentType(stream)
 	}
+	state := c.wireState.Load()
+	if state == wireDowngraded {
+		return wirebin.JSON, ""
+	}
+	offer := wirebin.Binary.ContentType(stream) + ", " + wirebin.JSON.ContentType(stream) + ";q=0.9"
+	if state == wireBinary {
+		return wirebin.Binary, offer
+	}
+	return wirebin.JSON, offer
 }
 
-// errNotAcceptable marks a 406 verdict so the auto codec can downgrade.
+// errNotAcceptable marks a 406 verdict.
 var errNotAcceptable = errors.New("server rejected the requested codec")
 
 // RetryPolicy tunes the client's reaction to overload verdicts (HTTP 429,
@@ -260,86 +274,22 @@ func RequestIDFromContext(ctx context.Context) string {
 // the general form behind Execute and RouteBatch: callers use it to select a
 // strategy or ask for full schedules (IncludeSchedule).
 func (c *ServiceClient) Do(ctx context.Context, req *ServiceRouteRequest) (*ServiceRouteResponse, error) {
-	pb, err := marshalBody(req)
+	var out ServiceRouteResponse
+	err := c.withRetry(ctx, func() error {
+		resp, codec, err := c.post(ctx, "/route", req, false)
+		if err != nil {
+			return err
+		}
+		defer drainClose(resp.Body)
+		if err := codec.ReadResponse(resp.Body, &out); err != nil {
+			return fmt.Errorf("pops: decoding service /route response: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer pb.release()
-	var resp ServiceRouteResponse
-	if err := c.post(ctx, "/route", pb, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// bodyPool recycles request marshal buffers: the hot client path re-sends
-// structurally similar bodies, so the encode buffer is reused instead of
-// reallocated per call.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// pooledBody is one marshaled request body on loan from bodyPool. net/http's
-// Transport closes a request body on its own schedule — possibly after
-// RoundTrip has returned — so the buffer goes back to the pool only when the
-// caller AND every per-attempt reader have released it; anything simpler is
-// a use-after-recycle race under retries.
-type pooledBody struct {
-	buf  *bytes.Buffer
-	refs atomic.Int32
-}
-
-// marshalBody encodes v into a pooled buffer. The caller holds one reference
-// and must call release exactly once.
-func marshalBody(v any) (*pooledBody, error) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		bodyPool.Put(buf)
-		return nil, fmt.Errorf("pops: encoding route request: %w", err)
-	}
-	pb := &pooledBody{buf: buf}
-	pb.refs.Store(1)
-	return pb, nil
-}
-
-func (p *pooledBody) len() int { return p.buf.Len() }
-
-// attach mounts a fresh attempt body on req: a reader over the pooled bytes
-// whose Close releases one reference, plus the ContentLength and GetBody
-// the transport needs to avoid chunked uploads and to replay redirects.
-func (p *pooledBody) attach(req *http.Request) {
-	newReader := func() io.ReadCloser {
-		p.refs.Add(1)
-		r := &pooledBodyReader{pb: p}
-		r.r.Reset(p.buf.Bytes())
-		return r
-	}
-	req.Body = newReader()
-	req.ContentLength = int64(p.buf.Len())
-	req.GetBody = func() (io.ReadCloser, error) { return newReader(), nil }
-}
-
-func (p *pooledBody) release() {
-	if p.refs.Add(-1) == 0 {
-		buf := p.buf
-		p.buf = nil
-		bodyPool.Put(buf)
-	}
-}
-
-type pooledBodyReader struct {
-	pb     *pooledBody
-	r      bytes.Reader
-	closed bool
-}
-
-func (r *pooledBodyReader) Read(p []byte) (int, error) { return r.r.Read(p) }
-
-func (r *pooledBodyReader) Close() error {
-	if !r.closed {
-		r.closed = true
-		r.pb.release()
-	}
-	return nil
+	return &out, nil
 }
 
 // Execute plans one workload on POPS(d, g) — the wire form of
@@ -434,16 +384,14 @@ func (c *ServiceClient) RouteBatch(ctx context.Context, d, g int, pis [][]int) (
 }
 
 // ServiceStream is an open POST /route/stream response: slot fragments
-// decoded one NDJSON record at a time, while the server is still peeling
-// later color classes. Drive it with Next and always Close it — Close
-// releases the HTTP connection, and abandoning a stream early tells the
-// server to stop planning.
+// decoded one record at a time, in whichever codec the server answered
+// (NDJSON lines or binary frames), while the server is still peeling later
+// color classes. Drive it with Next and always Close it — Close releases the
+// HTTP connection, and abandoning a stream early tells the server to stop
+// planning.
 type ServiceStream struct {
 	body io.ReadCloser
-	// dec decodes NDJSON streams; bdec binary-framed ones. Exactly one is
-	// set, decided by the response's Content-Type.
-	dec  *json.Decoder
-	bdec *wirebin.Decoder
+	recs *wirebin.RecordReader
 	meta ServiceStreamMeta
 	done *ServiceStreamDone
 	err  error
@@ -466,107 +414,37 @@ func (c *ServiceClient) ExecuteStream(ctx context.Context, d, g int, w Workload)
 // decodes the stream's opening meta record. Callers use it to select a
 // non-default strategy (whose plans are streamed as whole slots).
 func (c *ServiceClient) DoStream(ctx context.Context, req *ServiceRouteRequest) (*ServiceStream, error) {
-	pb, err := marshalBody(req)
-	if err != nil {
-		return nil, err
-	}
-	defer pb.release()
 	// A stream shed at admission (429 before the meta record) has delivered
 	// nothing, so retrying it is as safe as retrying /route. Once the stream
 	// is open it is never retried — the caller may have consumed slots.
 	var st *ServiceStream
-	err = c.withRetry(ctx, func() error {
-		var openErr error
-		st, openErr = c.openStream(ctx, pb, c.acceptHeader(true))
-		if errors.Is(openErr, errNotAcceptable) && c.codec == CodecAuto {
-			c.binDown.Store(true)
-			st, openErr = c.openStream(ctx, pb, "")
+	err := c.withRetry(ctx, func() error {
+		resp, codec, err := c.post(ctx, "/route/stream", req, true)
+		if err != nil {
+			return err
 		}
-		return openErr
+		st = &ServiceStream{body: resp.Body, recs: codec.NewRecordReader(resp.Body)}
+		var rec wire.StreamRecord
+		err = st.recs.Next(&rec)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("pops: decoding stream meta: %w", err)
+		case rec.Type == "error":
+			err = fmt.Errorf("pops: service: %s", rec.Error)
+		case rec.Type != "meta" || rec.Meta == nil:
+			err = fmt.Errorf("pops: stream opened with %q record, want meta", rec.Type)
+		default:
+			st.meta = *rec.Meta
+			return nil
+		}
+		st.recs.Close()
+		drainClose(resp.Body)
+		return err
 	})
-	return st, err
-}
-
-func (c *ServiceClient) openStream(ctx context.Context, pb *pooledBody, accept string) (*ServiceStream, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/route/stream", nil)
 	if err != nil {
 		return nil, err
 	}
-	pb.attach(httpReq)
-	httpReq.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		httpReq.Header.Set("Accept", accept)
-	}
-	c.setCallHeaders(ctx, httpReq)
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return nil, fmt.Errorf("pops: service request /route/stream: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer drainClose(resp.Body)
-		if resp.StatusCode == http.StatusNotAcceptable {
-			return nil, fmt.Errorf("pops: service /route/stream: %w", errNotAcceptable)
-		}
-		if oe := OverloadFromResponse(resp); oe != nil {
-			return nil, fmt.Errorf("pops: service /route/stream: %w", oe)
-		}
-		return nil, fmt.Errorf("pops: service /route/stream: %s", readError(resp))
-	}
-	if wirebin.IsContentType(resp.Header.Get("Content-Type")) {
-		return openBinaryStream(resp)
-	}
-	if accept == wirebin.ContentType {
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("pops: service /route/stream answered %q, want %s",
-			resp.Header.Get("Content-Type"), wirebin.ContentType)
-	}
-	st := &ServiceStream{body: resp.Body, dec: json.NewDecoder(resp.Body)}
-	var rec wire.StreamRecord
-	if err := st.dec.Decode(&rec); err != nil {
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("pops: decoding stream meta: %w", err)
-	}
-	if rec.Type != "meta" || rec.Meta == nil {
-		drainClose(resp.Body)
-		if rec.Type == "error" {
-			return nil, fmt.Errorf("pops: service: %s", rec.Error)
-		}
-		return nil, fmt.Errorf("pops: stream opened with %q record, want meta", rec.Type)
-	}
-	st.meta = *rec.Meta
 	return st, nil
-}
-
-// openBinaryStream reads the opening meta frame of a binary-framed stream.
-func openBinaryStream(resp *http.Response) (*ServiceStream, error) {
-	st := &ServiceStream{body: resp.Body, bdec: wirebin.GetDecoder(resp.Body)}
-	typ, payload, err := st.bdec.ReadFrame()
-	if err != nil {
-		st.releaseDecoder()
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("pops: decoding stream meta: %w", err)
-	}
-	switch typ {
-	case wirebin.FrameMeta:
-		if err := wirebin.DecodeMeta(payload, &st.meta); err != nil {
-			st.releaseDecoder()
-			drainClose(resp.Body)
-			return nil, fmt.Errorf("pops: decoding stream meta: %w", err)
-		}
-		return st, nil
-	case wirebin.FrameError:
-		msg, err := wirebin.DecodeError(payload)
-		st.releaseDecoder()
-		drainClose(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("pops: decoding stream error record: %w", err)
-		}
-		return nil, fmt.Errorf("pops: service: %s", msg)
-	default:
-		st.releaseDecoder()
-		drainClose(resp.Body)
-		return nil, fmt.Errorf("pops: stream opened with frame type %d, want meta", typ)
-	}
 }
 
 // Meta returns the stream's opening record.
@@ -574,16 +452,19 @@ func (s *ServiceStream) Meta() ServiceStreamMeta { return s.meta }
 
 // Next returns the next slot fragment, or (nil, nil) once the stream has
 // completed successfully (Done then holds the closing record). A planning
-// failure mid-stream or a malformed response is returned as an error.
+// failure mid-stream or a malformed response — a truncated or corrupt
+// record, a backend dying mid-stream, a relay forwarding garbage — is
+// returned as an error, never as a silently short plan: the done record is
+// the only successful ending.
 func (s *ServiceStream) Next() (*ServiceStreamSlot, error) {
 	if s.err != nil || s.done != nil {
 		return nil, s.err
 	}
-	if s.bdec != nil {
-		return s.nextBinary()
-	}
 	var rec wire.StreamRecord
-	if err := s.dec.Decode(&rec); err != nil {
+	if err := s.recs.Next(&rec); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // EOF before the done record is truncation
+		}
 		s.err = fmt.Errorf("pops: decoding stream record: %w", err)
 		return nil, s.err
 	}
@@ -606,59 +487,6 @@ func (s *ServiceStream) Next() (*ServiceStreamSlot, error) {
 	}
 }
 
-// nextBinary is Next over a binary-framed stream. A truncated or corrupt
-// frame — a backend dying mid-stream, a relay forwarding garbage — is a
-// typed error, never a silently short plan: the done frame is the only
-// successful ending.
-func (s *ServiceStream) nextBinary() (*ServiceStreamSlot, error) {
-	typ, payload, err := s.bdec.ReadFrame()
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // EOF before the done frame is truncation
-		}
-		s.err = fmt.Errorf("pops: decoding stream record: %w", err)
-		return nil, s.err
-	}
-	switch typ {
-	case wirebin.FrameSlot:
-		// Decoded into a fresh record: callers accumulate fragments across
-		// Next calls, so the slices must not alias the decoder's buffer.
-		var slot ServiceStreamSlot
-		if err := wirebin.DecodeSlot(payload, &slot); err != nil {
-			s.err = fmt.Errorf("pops: decoding stream record: %w", err)
-			return nil, s.err
-		}
-		return &slot, nil
-	case wirebin.FrameDone:
-		var done ServiceStreamDone
-		if err := wirebin.DecodeDone(payload, &done); err != nil {
-			s.err = fmt.Errorf("pops: decoding stream record: %w", err)
-			return nil, s.err
-		}
-		s.done = &done
-		return nil, nil
-	case wirebin.FrameError:
-		msg, err := wirebin.DecodeError(payload)
-		if err != nil {
-			s.err = fmt.Errorf("pops: decoding stream error record: %w", err)
-			return nil, s.err
-		}
-		s.err = fmt.Errorf("pops: service: %s", msg)
-		return nil, s.err
-	default:
-		s.err = fmt.Errorf("pops: unexpected stream frame type %d", typ)
-		return nil, s.err
-	}
-}
-
-// releaseDecoder returns the binary decoder to its pool (idempotent).
-func (s *ServiceStream) releaseDecoder() {
-	if s.bdec != nil {
-		wirebin.PutDecoder(s.bdec)
-		s.bdec = nil
-	}
-}
-
 // Done returns the stream's closing record once Next has returned (nil, nil).
 func (s *ServiceStream) Done() *ServiceStreamDone { return s.done }
 
@@ -669,7 +497,7 @@ func (s *ServiceStream) Done() *ServiceStreamDone { return s.done }
 // keep-alive connection returns to the transport's pool instead of being
 // torn down.
 func (s *ServiceStream) Close() error {
-	s.releaseDecoder()
+	s.recs.Close()
 	if s.done != nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(s.body, 4096))
 	}
@@ -713,32 +541,44 @@ func (c *ServiceClient) Healthz(ctx context.Context) error {
 	return nil
 }
 
-func (c *ServiceClient) post(ctx context.Context, path string, pb *pooledBody, out any) error {
-	// The request is rebuilt per attempt — a body reader cannot be rewound
-	// once the transport has consumed it.
-	return c.withRetry(ctx, func() error {
-		attempt := func(accept string) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
-			if err != nil {
-				return err
-			}
-			pb.attach(req)
-			req.Header.Set("Content-Type", "application/json")
-			if accept != "" {
-				req.Header.Set("Accept", accept)
-			}
-			c.setCallHeaders(ctx, req)
-			return c.roundTrip(req, out)
-		}
-		err := attempt(c.acceptHeader(false))
-		if errors.Is(err, errNotAcceptable) && c.codec == CodecAuto {
-			// The server refused the binary offer outright: downgrade this
-			// client permanently and replay the attempt as plain JSON.
-			c.binDown.Store(true)
-			return attempt("")
-		}
-		return err
-	})
+// post sends one attempt of req to path, its body encoded in the attempt's
+// negotiated codec (re-encoded per attempt, so a replay follows a downgrade),
+// and returns the 200 answer with the codec it speaks; the caller owns the
+// response body. A binary answer proves the codec for CodecAuto. A 406 to a
+// CodecAuto binary offer downgrades the client for good and replays the
+// attempt as plain JSON.
+func (c *ServiceClient) post(ctx context.Context, path string, req *ServiceRouteRequest, stream bool) (*http.Response, wirebin.Codec, error) {
+	bodyCodec, accept := c.negotiation(stream)
+	body, err := bodyCodec.AppendRequest(nil, req)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pops: encoding route request: %w", err)
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
+	}
+	httpReq.Header.Set("Content-Type", bodyCodec.ContentType(false))
+	if accept != "" {
+		httpReq.Header.Set("Accept", accept)
+	}
+	c.setCallHeaders(ctx, httpReq)
+	resp, err := c.send(httpReq)
+	if errors.Is(err, errNotAcceptable) && c.codec == CodecAuto && accept != "" {
+		c.wireState.Store(wireDowngraded)
+		return c.post(ctx, path, req, stream)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	codec := wirebin.FromContentType(resp.Header.Get("Content-Type"))
+	if codec == wirebin.Binary {
+		c.wireState.CompareAndSwap(wireUnknown, wireBinary)
+	} else if c.codec == CodecBinary {
+		drainClose(resp.Body)
+		return nil, 0, fmt.Errorf("pops: service %s answered %q, want %s",
+			path, resp.Header.Get("Content-Type"), wirebin.Binary.ContentType(stream))
+	}
+	return resp, codec, nil
 }
 
 // setCallHeaders attaches the per-call context headers: the caller's
@@ -762,57 +602,39 @@ func (c *ServiceClient) get(ctx context.Context, path string, out any) error {
 	if err != nil {
 		return err
 	}
-	return c.roundTrip(req, out)
-}
-
-func (c *ServiceClient) roundTrip(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
-		return fmt.Errorf("pops: service request %s: %w", req.URL.Path, err)
+		return err
 	}
-	// Every exit drains the remaining body (bounded) before closing: a body
-	// closed with bytes left tears the keep-alive connection down, so error
-	// paths — non-2xx answers, truncated JSON — would otherwise leak pooled
-	// connections exactly when a failover layer is retrying hardest.
 	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotAcceptable {
-		return fmt.Errorf("pops: service %s: %w", req.URL.Path, errNotAcceptable)
-	}
-	if resp.StatusCode != http.StatusOK {
-		if oe := OverloadFromResponse(resp); oe != nil {
-			return fmt.Errorf("pops: service %s: %w", req.URL.Path, oe)
-		}
-		return fmt.Errorf("pops: service %s: %s", req.URL.Path, readError(resp))
-	}
-	if wirebin.IsContentType(resp.Header.Get("Content-Type")) {
-		rr, ok := out.(*ServiceRouteResponse)
-		if !ok {
-			return fmt.Errorf("pops: service %s answered %s unexpectedly", req.URL.Path, wirebin.ContentType)
-		}
-		dec := wirebin.GetDecoder(resp.Body)
-		defer wirebin.PutDecoder(dec)
-		typ, payload, err := dec.ReadFrame()
-		if err == nil && typ != wirebin.FrameResponse {
-			err = fmt.Errorf("frame type %d, want response", typ)
-		}
-		if err == nil {
-			err = wirebin.DecodeResponse(payload, rr)
-		}
-		if err != nil {
-			return fmt.Errorf("pops: decoding service %s response: %w", req.URL.Path, err)
-		}
-		return nil
-	}
-	if req.Header.Get("Accept") == wirebin.ContentType {
-		// CodecBinary pins the wire format; a JSON answer means the server
-		// ignored the only acceptable codec.
-		return fmt.Errorf("pops: service %s answered %q, want %s",
-			req.URL.Path, resp.Header.Get("Content-Type"), wirebin.ContentType)
-	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("pops: decoding service %s response: %w", req.URL.Path, err)
 	}
 	return nil
+}
+
+// send performs one HTTP exchange and returns a 200 answer, whose body the
+// caller must drainClose. Any other status is drained here (bounded) and
+// mapped to an error — a 406 to errNotAcceptable, a shed to the typed
+// *OverloadError — because a body closed with bytes left tears the
+// keep-alive connection down, which would leak pooled connections exactly
+// when a failover layer is retrying hardest.
+func (c *ServiceClient) send(req *http.Request) (*http.Response, error) {
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("pops: service request %s: %w", req.URL.Path, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode == http.StatusNotAcceptable {
+		return nil, fmt.Errorf("pops: service %s: %w", req.URL.Path, errNotAcceptable)
+	}
+	if oe := OverloadFromResponse(resp); oe != nil {
+		return nil, fmt.Errorf("pops: service %s: %w", req.URL.Path, oe)
+	}
+	return nil, fmt.Errorf("pops: service %s: %s", req.URL.Path, readError(resp))
 }
 
 // drainClose discards what is left of a response body (bounded, so a huge

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -24,8 +23,9 @@ import (
 //
 //	POST /route         placed on the workload's ring owner, failover on
 //	                    connection errors (planning is idempotent)
-//	POST /route/stream  placed the same way; backend NDJSON records are
-//	                    re-framed chunk by chunk, never buffering the plan
+//	POST /route/stream  placed the same way; backend records (NDJSON lines
+//	                    or binary frames) are relayed whole, one flush each,
+//	                    never buffering the plan
 //	GET  /slots         any owner (pure function of the shape)
 //	GET  /stats         fleet aggregate with per-backend breakdown
 //	GET  /metrics       Prometheus text exposition, backends labeled by id
@@ -202,22 +202,30 @@ func writeOverload(w http.ResponseWriter, oe *pops.OverloadError) {
 	http.Error(w, oe.Error(), http.StatusTooManyRequests)
 }
 
+// readRouteRequest reads a /route or /route/stream body and decodes it in
+// the codec its Content-Type names, for placement only: the raw bytes are
+// forwarded to the backend unchanged. It writes the 400 itself on a body
+// that does not read or decode.
+func readRouteRequest(w http.ResponseWriter, r *http.Request) (body []byte, req wire.RouteRequest, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody))
+	if err == nil {
+		err = wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), &req)
+	}
+	if err != nil {
+		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
+		return nil, req, false
+	}
+	return body, req, true
+}
+
 func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !p.enter() {
 		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	defer p.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody))
-	if err != nil {
-		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req wire.RouteRequest
-	// Decode for placement only; the raw body bytes are forwarded to the
-	// backend unchanged, whatever the codec.
-	if err := wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
-		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
+	body, req, ok := readRouteRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -253,26 +261,23 @@ func relayHeader(w http.ResponseWriter, resp *http.Response) {
 	w.WriteHeader(resp.StatusCode)
 }
 
-// handleRouteStream places a slot stream on its ring owner and re-frames the
-// backend's NDJSON records one line at a time: each complete line is written
-// and flushed as its own chunk, so the proxy adds one record of latency, not
-// one plan — nothing is buffered beyond the line in flight. Failover covers
-// stream admission only; once records have been relayed, a backend failure
-// becomes a wire "error" record (delivered fragments cannot be replayed).
+// handleRouteStream places a slot stream on its ring owner and relays the
+// backend's records one at a time, in whichever codec the backend answered:
+// each whole record (an NDJSON line or a binary frame, reassembled across
+// HTTP chunk boundaries) is written and flushed as its own chunk without
+// decoding its fields, so the proxy adds one record of latency, not one
+// plan. Failover covers stream admission only; once records have been
+// relayed, a backend failure becomes an in-band error record in the
+// stream's codec (delivered fragments cannot be replayed), and a partial
+// record is dropped, never relayed.
 func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	if !p.enter() {
 		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	defer p.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wirebin.MaxRequestBody))
-	if err != nil {
-		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req wire.RouteRequest
-	if err := wirebin.ReadRouteRequest(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
-		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
+	body, req, ok := readRouteRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -302,26 +307,10 @@ func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	flusher, _ := w.(http.Flusher)
-	if wirebin.IsContentType(resp.Header.Get("Content-Type")) {
-		p.relayBinaryStream(ctx, w, flusher, resp.Body, sp)
-		return
-	}
-	br := bufio.NewReader(resp.Body)
+	codec := wirebin.FromContentType(resp.Header.Get("Content-Type"))
+	relay := codec.NewRelay(resp.Body)
 	for {
-		line, err := br.ReadBytes('\n')
-		// Relay only complete records: a partial line truncated by a backend
-		// failure is dropped, and the failure surfaces as an error record.
-		if len(line) > 0 && line[len(line)-1] == '\n' {
-			sp.Begin(obs.PhaseEncode)
-			_, werr := w.Write(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sp.End()
-			if werr != nil {
-				return // the caller went away; the deferred Close hangs up upstream
-			}
-		}
+		rec, err := relay.Next()
 		if err == io.EOF {
 			return
 		}
@@ -329,42 +318,15 @@ func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 			if ctx.Err() != nil {
 				return
 			}
-			rec, _ := json.Marshal(wire.StreamRecord{Type: "error", Error: fmt.Sprintf("cluster: backend stream: %v", err)})
-			if _, werr := w.Write(append(rec, '\n')); werr == nil && flusher != nil {
+			// A record holding only a string always encodes.
+			msg, _ := codec.AppendRecord(nil, &wire.StreamRecord{Type: "error", Error: fmt.Sprintf("cluster: backend stream: %v", err)})
+			if _, werr := w.Write(msg); werr == nil && flusher != nil {
 				flusher.Flush()
 			}
-			return
-		}
-	}
-}
-
-// relayBinaryStream re-frames a backend's binary slot stream one whole frame
-// at a time: the Reframer reassembles frames that span HTTP chunk boundaries
-// (the backend's flush points and the proxy transport's reads need not
-// agree), and each reassembled frame is written and flushed as its own
-// chunk without decoding its fields. A backend failure mid-stream becomes an
-// in-band binary error frame, mirroring the NDJSON error record.
-func (p *Proxy) relayBinaryStream(ctx context.Context, w http.ResponseWriter, flusher http.Flusher, body io.Reader, sp *obs.Span) {
-	rf := wirebin.NewReframer(body)
-	for {
-		frame, err := rf.Next()
-		if err == io.EOF {
-			return
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			enc := wirebin.GetEncoder()
-			errFrame := enc.AppendError(fmt.Sprintf("cluster: backend stream: %v", err))
-			if _, werr := w.Write(errFrame); werr == nil && flusher != nil {
-				flusher.Flush()
-			}
-			wirebin.PutEncoder(enc)
 			return
 		}
 		sp.Begin(obs.PhaseEncode)
-		_, werr := w.Write(frame)
+		_, werr := w.Write(rec)
 		if flusher != nil {
 			flusher.Flush()
 		}

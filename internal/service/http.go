@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -20,18 +19,21 @@ import (
 // Handler returns the service's HTTP surface:
 //
 //	POST /route         plan one permutation ("pi") or a batch ("pis")
-//	POST /route/stream  stream one permutation's slots as NDJSON chunks
+//	POST /route/stream  stream one workload's slots, one record per chunk
 //	GET  /slots         Theorem 2 slot count for ?d=&g=
 //	GET  /stats         shard, cache, admission, latency and TTFS counters
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /debug/slow    the slowest traced requests with phase breakdowns
 //	GET  /healthz       liveness ("ok" until Close starts)
 //
-// Requests and responses use the JSON schema of internal/wire. Malformed
-// requests (bad JSON, invalid shape, unknown strategy) get 400; requests
-// admitted after Close starts get 503; per-permutation planning failures
-// travel as the error field of their PlanResult under a 200 (or as an
-// "error" stream record once a stream has opened).
+// Requests and responses use the schema of internal/wire in either codec of
+// internal/wirebin: a request body is read in the codec its Content-Type
+// names, and the response — JSON for /route, NDJSON for /route/stream —
+// turns binary when the Accept header names application/x-pops-bin.
+// Malformed requests (bad JSON or frames, invalid shape, unknown strategy)
+// get 400; requests admitted after Close starts get 503; per-permutation
+// planning failures travel as the error field of their PlanResult under a
+// 200 (or as an "error" stream record once a stream has opened).
 //
 // Every request is assigned a request ID — the client's X-Request-Id header
 // when present, a generated one otherwise — echoed in the X-Request-Id
@@ -77,24 +79,33 @@ func decodeRouteRequest(w http.ResponseWriter, r *http.Request, req *wire.RouteR
 	return true
 }
 
-// respondRoute writes a /route response in the negotiated codec: binary when
-// the caller's Accept names application/x-pops-bin, JSON otherwise (unknown
-// and empty Accept values change nothing). It also feeds the per-codec
-// request ledger.
+// respondRoute writes a /route response in the codec the caller's Accept
+// negotiates (wirebin.Negotiate) and books it in that codec's ledger.
 func (s *Service) respondRoute(w http.ResponseWriter, r *http.Request, resp *wire.RouteResponse) {
-	if !wirebin.Accepts(r.Header.Get("Accept")) {
-		s.codecJSON.requests.Add(1)
-		writeJSON(w, http.StatusOK, resp)
+	codec := wirebin.Negotiate(r.Header.Get("Accept"))
+	s.ledger(codec, false).requests.Add(1)
+	body, err := codec.AppendResponse(nil, resp)
+	if err != nil {
+		http.Error(w, "service: encoding response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.codecBinary.requests.Add(1)
-	enc := wirebin.GetEncoder()
-	defer wirebin.PutEncoder(enc)
-	frame := enc.AppendResponse(resp)
-	w.Header().Set("Content-Type", wirebin.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Header().Set("Content-Type", codec.ContentType(false))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
+	_, _ = w.Write(body) // the connection is the only failure mode left here
+}
+
+// ledger is the wire ledger a response in codec books into: NDJSON streams
+// and JSON unary bodies are counted apart, binary ones together.
+func (s *Service) ledger(codec wirebin.Codec, stream bool) *wireCodecCounters {
+	switch {
+	case codec == wirebin.Binary:
+		return &s.codecBinary
+	case stream:
+		return &s.codecNDJSON
+	default:
+		return &s.codecJSON
+	}
 }
 
 // requestStatus maps a request-level error to its HTTP status.
@@ -331,11 +342,11 @@ func (s *Service) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRouteStream serves POST /route/stream: the slot schedule of one
-// permutation as newline-delimited JSON (wire.StreamRecord), each record
-// flushed as its own chunk so early slots reach the caller while later
-// color classes are still being peeled. Admission errors are plain HTTP
-// statuses; once the meta record has been written, failures travel as an
-// "error" record.
+// workload as wire.StreamRecords in the negotiated codec (NDJSON lines or
+// binary frames), each record flushed as its own chunk so early slots reach
+// the caller while later color classes are still being peeled. Admission
+// errors are plain HTTP statuses; once the meta record has been written,
+// failures travel as an "error" record.
 func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	var req wire.RouteRequest
 	if !decodeRouteRequest(w, r, &req) {
@@ -398,48 +409,24 @@ func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 		}
 		runtime.Gosched()
 	}
-	var write func(rec wire.StreamRecord) bool
-	if wirebin.Accepts(r.Header.Get("Accept")) {
-		s.codecBinary.streams.Add(1)
-		w.Header().Set("Content-Type", wirebin.ContentType)
-		enc := wirebin.GetEncoder()
-		defer wirebin.PutEncoder(enc)
-		write = func(rec wire.StreamRecord) bool {
-			sp.Begin(obs.PhaseEncode)
-			defer sp.End()
-			var frame []byte
-			switch rec.Type {
-			case "meta":
-				frame = enc.AppendMeta(rec.Meta)
-			case "slot":
-				frame = enc.AppendSlot(rec.Slot)
-			case "done":
-				frame = enc.AppendDone(rec.Done)
-			default:
-				frame = enc.AppendError(rec.Error)
-			}
-			if _, err := w.Write(frame); err != nil {
-				return false // client went away; Close releases the worker
-			}
-			s.codecBinary.streamedBytes.Add(uint64(len(frame)))
-			flush()
-			return true
+	codec := wirebin.Negotiate(r.Header.Get("Accept"))
+	ledger := s.ledger(codec, true)
+	ledger.streams.Add(1)
+	w.Header().Set("Content-Type", codec.ContentType(true))
+	var buf []byte
+	write := func(rec wire.StreamRecord) bool {
+		sp.Begin(obs.PhaseEncode)
+		defer sp.End()
+		var err error
+		if buf, err = codec.AppendRecord(buf[:0], &rec); err != nil {
+			return false
 		}
-	} else {
-		s.codecNDJSON.streams.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		cw := &countingWriter{w: w}
-		defer func() { s.codecNDJSON.streamedBytes.Add(cw.n) }()
-		enc := json.NewEncoder(cw)
-		write = func(rec wire.StreamRecord) bool {
-			sp.Begin(obs.PhaseEncode)
-			defer sp.End()
-			if err := enc.Encode(rec); err != nil {
-				return false // client went away; Close releases the worker
-			}
-			flush()
-			return true
+		if _, err := w.Write(buf); err != nil {
+			return false // client went away; Close releases the worker
 		}
+		ledger.streamedBytes.Add(uint64(len(buf)))
+		flush()
+		return true
 	}
 	meta := st.Meta()
 	meta.RequestID = id
@@ -465,19 +452,6 @@ func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	write(wire.StreamRecord{Type: "done", Done: &wire.StreamDone{Slots: meta.Slots, Fragments: meta.Fragments}})
-}
-
-// countingWriter tallies bytes written through it, so the NDJSON stream path
-// can feed the per-codec streamed-bytes ledger without an extra copy.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
 }
 
 // planResult converts one permutation planning outcome to its wire form.

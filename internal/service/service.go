@@ -17,8 +17,8 @@
 // counters and a request-latency histogram are exported over GET /stats.
 //
 // POST /route/stream delivers a plan incrementally: the stream checks a
-// worker planner out of the shard's pool and flushes one NDJSON slot record
-// per color class as the König factorization peels it, so the first slots
+// worker planner out of the shard's pool and flushes one slot record per
+// color class as the König factorization peels it, so the first slots
 // reach the caller in a fraction of the full planning latency. Streams are
 // capped by MaxStreams rather than planning slots — an open stream holds a
 // worker for as long as its client reads — so the gate keeps admitting
@@ -26,8 +26,10 @@
 // /stats exports a time-to-first-slot histogram next to the request-latency
 // one.
 //
-// The HTTP surface (Handler) speaks the JSON schema of internal/wire:
-// POST /route, POST /route/stream, GET /slots, GET /stats, GET /healthz.
+// The HTTP surface (Handler) speaks the schema of internal/wire: POST /route,
+// POST /route/stream, GET /slots, GET /stats, GET /healthz. Route bodies
+// travel in either codec of internal/wirebin — JSON/NDJSON by default,
+// binary frames when the request's Content-Type or Accept names them.
 // Close drains every shard's admitted requests and slot streams before
 // returning, which is what popsserved's graceful shutdown calls after
 // http.Server.Shutdown.

@@ -36,7 +36,7 @@ const (
 	// hint on 429 responses.
 	HeaderRetryAfterMs = "X-Retry-After-Ms"
 	// HeaderOverloadQueue names which bound shed the request ("admission",
-	// "stream", "direct", "backend"), so clients reconstruct the typed
+	// "stream", "backend"), so clients reconstruct the typed
 	// *pops.OverloadError instead of string-matching the body.
 	HeaderOverloadQueue = "X-Overload-Queue"
 )

@@ -98,9 +98,14 @@ func DecodeSlot(payload []byte, s *wire.StreamSlot) error {
 }
 
 // decodeSendsRecvs reads a sends block and a recvs block into the given
-// slices, reusing their capacity.
+// slices, reusing their capacity and otherwise allocating each once at its
+// exact size. A send is at least 3 bytes (src, dest group, packet) and a
+// recv at least 2 (proc, src group).
 func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]popsnet.Send, []popsnet.Recv) {
-	nSends := r.count()
+	nSends := r.count(3)
+	if cap(sends) < nSends {
+		sends = make([]popsnet.Send, 0, nSends)
+	}
 	sends = sends[:0]
 	for i := 0; i < nSends && r.err == nil; i++ {
 		sends = append(sends, popsnet.Send{
@@ -109,7 +114,10 @@ func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]
 			Packet:    int(r.uvarint()),
 		})
 	}
-	nRecvs := r.count()
+	nRecvs := r.count(2)
+	if cap(recvs) < nRecvs {
+		recvs = make([]popsnet.Recv, 0, nRecvs)
+	}
 	recvs = recvs[:0]
 	for i := 0; i < nRecvs && r.err == nil; i++ {
 		recvs = append(recvs, popsnet.Recv{
@@ -235,12 +243,12 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 	flags := r.byteVal()
 	req.IncludeSchedule = flags&flagSchedule != 0
 	req.Pi = r.ints()
-	nPis := r.count()
+	nPis := r.count(1)
 	req.Pis = nil
 	for i := 0; i < nPis && r.err == nil; i++ {
 		req.Pis = append(req.Pis, r.ints())
 	}
-	nReqs := r.count()
+	nReqs := r.count(2) // src, dst
 	req.Requests = nil
 	for i := 0; i < nReqs && r.err == nil; i++ {
 		req.Requests = append(req.Requests, wire.Request{
@@ -251,7 +259,7 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 	req.Faults = nil
 	if flags&flagFaults != 0 {
 		fs := &wire.FaultSet{}
-		nCouplers := r.count()
+		nCouplers := r.count(2) // b, a
 		for i := 0; i < nCouplers && r.err == nil; i++ {
 			fs.Couplers = append(fs.Couplers, wire.Coupler{
 				B: int(r.uvarint()),
@@ -341,7 +349,7 @@ func DecodeResponse(payload []byte, resp *wire.RouteResponse) error {
 	resp.D = int(r.uvarint())
 	resp.G = int(r.uvarint())
 	resp.RequestID = r.str()
-	nPlans := r.count()
+	nPlans := r.count(8) // flags, 4 string lengths, slots, rounds, h
 	resp.Plans = make([]wire.PlanResult, 0, nPlans)
 	for i := 0; i < nPlans && r.err == nil; i++ {
 		resp.Plans = append(resp.Plans, decodePlan(&r))
@@ -378,7 +386,7 @@ func decodePlan(r *reader) wire.PlanResult {
 	if flags&flagSchedule != 0 {
 		d := int(r.uvarint())
 		g := int(r.uvarint())
-		nSlots := r.count()
+		nSlots := r.count(2) // sends and recvs counts
 		sched := &popsnet.Schedule{Net: popsnet.Network{D: d, G: g}}
 		sched.Slots = make([]popsnet.Slot, 0, nSlots)
 		for i := 0; i < nSlots && r.err == nil; i++ {

@@ -2,9 +2,12 @@ package wirebin
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pops/internal/wire"
@@ -149,4 +152,83 @@ func encodeDecoded(t *testing.T, typ byte, payload []byte, lenient bool) []byte 
 		// for relays); there is nothing to re-encode.
 		return nil
 	}
+}
+
+// FuzzRouteRequestCrossCodec pins the one request reader across codecs: a
+// fuzzer-chosen route request — any workload kind, a permutation or a
+// batch, h-relation demands, a fault set, tenant, strategy and
+// include_schedule — encoded through the JSON and the binary codec must read
+// back through ReadRouteRequest as equal structs, so a server (and the
+// proxy's placement) sees one request whichever codec carried it.
+func FuzzRouteRequestCrossCodec(f *testing.F) {
+	kinds := []string{"", wire.WorkloadPermutation, wire.WorkloadHRelation,
+		wire.WorkloadAllToAll, wire.WorkloadOneToAll, wire.WorkloadFaultyPermutation}
+	for i, kind := range kinds {
+		f.Add(kind, 4, 8, uint8(i*37), []byte{1, 0, 3, 2, 5, 4, 7, 6, 0xff, 0x80}, "gold", "theorem2", i%2 == 0, i)
+	}
+	f.Add("gossip", -1, 1<<40, uint8(0xff), []byte{}, "", "auto", true, -3)
+	f.Add("", 0, 0, uint8(2), []byte{9}, "t\xffnant", "", false, 0)
+
+	f.Fuzz(func(t *testing.T, workload string, d, g int, mask uint8, payload []byte, tenant, strategy string, schedule bool, speaker int) {
+		req := crossCodecRequest(workload, d, g, mask, payload, tenant, strategy, schedule, speaker)
+		var got [2]wire.RouteRequest
+		for i, c := range []Codec{JSON, Binary} {
+			body, err := c.AppendRequest(nil, &req)
+			if err != nil {
+				t.Fatalf("codec %d: encoding %+v: %v", c, req, err)
+			}
+			if err := ReadRouteRequest(c.ContentType(false), bytes.NewReader(body), &got[i]); err != nil {
+				t.Fatalf("codec %d: reading back %+v: %v", c, req, err)
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("codecs disagree on %+v:\n json   %+v\n binary %+v", req, got[0], got[1])
+		}
+	})
+}
+
+// crossCodecRequest builds FuzzRouteRequestCrossCodec's request. Mask bits
+// pick the payload fields — pi, pis, requests, faults — and payload supplies
+// their signed 16-bit values. Strings are made valid UTF-8 first: JSON can
+// carry nothing else (encoding/json rewrites invalid bytes), while frames
+// carry raw bytes. An empty list is built nil, the one spelling both codecs
+// share (a frame has no null, and JSON omits or nulls a nil list).
+func crossCodecRequest(workload string, d, g int, mask uint8, payload []byte, tenant, strategy string, schedule bool, speaker int) wire.RouteRequest {
+	var vals []int
+	for i := 0; i+1 < len(payload); i += 2 {
+		vals = append(vals, int(int16(binary.LittleEndian.Uint16(payload[i:]))))
+	}
+	req := wire.RouteRequest{
+		D: d, G: g, Speaker: speaker, IncludeSchedule: schedule,
+		Workload: strings.ToValidUTF8(workload, "?"),
+		Tenant:   strings.ToValidUTF8(tenant, "?"),
+		Strategy: strings.ToValidUTF8(strategy, "?"),
+	}
+	if mask&1 != 0 {
+		req.Pi = append(req.Pi, vals...)
+	}
+	if mask&2 != 0 {
+		// Batch members of varying length, empty ones included.
+		for i, n := 0, 0; i < len(vals); i, n = i+n, n+1 {
+			var pi []int
+			pi = append(pi, vals[i:min(i+n, len(vals))]...)
+			req.Pis = append(req.Pis, pi)
+		}
+	}
+	if mask&4 != 0 {
+		for i := 0; i+1 < len(vals); i += 2 {
+			req.Requests = append(req.Requests, wire.Request{Src: vals[i], Dst: vals[i+1]})
+		}
+	}
+	if mask&8 != 0 {
+		fs := &wire.FaultSet{}
+		for i := 0; i+1 < len(vals); i += 3 {
+			fs.Couplers = append(fs.Couplers, wire.Coupler{B: vals[i], A: vals[i+1]})
+		}
+		if mask&16 != 0 {
+			fs.Groups = append(fs.Groups, vals...)
+		}
+		req.Faults = fs
+	}
+	return req
 }

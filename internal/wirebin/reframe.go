@@ -6,18 +6,20 @@ import (
 	"io"
 )
 
-// Reframer splits a raw binary stream into complete frames without decoding
-// their fields, for relays (the cluster proxy) that forward each frame
-// verbatim as its own flush — the binary analogue of relaying NDJSON line by
-// line. Frames may span the underlying reader's delivery boundaries
-// arbitrarily (HTTP chunk boundaries included); Next blocks until the frame
-// in flight is whole, buffering only that one frame, never the plan.
+// Reframer splits a raw stream into complete records without decoding
+// their fields, for relays (the cluster proxy) that forward each record
+// verbatim as its own flush: binary frames (NewReframer) or NDJSON lines
+// (Codec.NewRelay on JSON). Records may span the underlying reader's
+// delivery boundaries arbitrarily (HTTP chunk boundaries included); Next
+// blocks until the record in flight is whole, buffering only that one
+// record, never the plan.
 type Reframer struct {
-	br  *bufio.Reader
-	buf []byte
+	br    *bufio.Reader
+	buf   []byte
+	lines bool // NDJSON: records end at '\n'
 }
 
-// NewReframer returns a Reframer reading from r.
+// NewReframer returns a Reframer splitting the binary frames read from r.
 func NewReframer(r io.Reader) *Reframer {
 	return &Reframer{br: bufio.NewReaderSize(r, 4096)}
 }
@@ -28,6 +30,9 @@ func NewReframer(r io.Reader) *Reframer {
 // half a record on the wire — fails with an ErrCorruptFrame-tagged error so
 // the relay never forwards a partial frame.
 func (f *Reframer) Next() ([]byte, error) {
+	if f.lines {
+		return f.nextLine()
+	}
 	// Read the uvarint length prefix byte by byte, keeping the raw bytes so
 	// the frame can be relayed exactly as it arrived.
 	f.buf = f.buf[:0]
@@ -69,4 +74,28 @@ func (f *Reframer) Next() ([]byte, error) {
 		return nil, fmt.Errorf("%w: unknown frame version %d (this codec speaks %d)", ErrCorruptFrame, f.buf[prefix], Version)
 	}
 	return f.buf, nil
+}
+
+// nextLine is Next over NDJSON: one whole line, newline included. A line cut
+// off by the end of the stream is truncation, like a partial frame, and so is
+// a line longer than MaxFrame.
+func (f *Reframer) nextLine() ([]byte, error) {
+	f.buf = f.buf[:0]
+	for {
+		chunk, err := f.br.ReadSlice('\n')
+		f.buf = append(f.buf, chunk...)
+		switch {
+		case err == bufio.ErrBufferFull && len(f.buf) <= MaxFrame:
+			continue
+		case err == io.EOF && len(f.buf) == 0:
+			return nil, io.EOF
+		case err == io.EOF:
+			return nil, fmt.Errorf("truncated record: %w", io.ErrUnexpectedEOF)
+		case err == bufio.ErrBufferFull:
+			return nil, fmt.Errorf("record longer than %d bytes", MaxFrame)
+		case err != nil:
+			return nil, err
+		}
+		return f.buf, nil
+	}
 }

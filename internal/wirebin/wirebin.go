@@ -1,9 +1,10 @@
-// Package wirebin is the binary wire codec of the serving stack: a compact,
-// length-prefixed framing for the payloads POST /route and POST /route/stream
-// otherwise speak as JSON/NDJSON (internal/wire). It exists for one loop —
-// the per-slot-record stream encode on the hottest serving path — where
-// json.Marshal plus the wire.StreamRecord pointer fields cost allocations and
-// time the library side already proved unnecessary (the arena Factorizer).
+// Package wirebin is the codec seam of the serving stack: the one place
+// that knows how POST /route and POST /route/stream bodies are framed. A
+// Codec value — JSON (JSON unary bodies, NDJSON stream records, the
+// internal/wire schema) or Binary (the compact length-prefixed framing
+// below) — carries request, response and stream-record encode and decode
+// plus a whole-record relay reader, so the service, the proxy and the client
+// choose a codec once per call and never branch on the format themselves.
 //
 // # Frame layout
 //
@@ -45,12 +46,16 @@
 // a client that wants binary responses sends Accept: application/x-pops-bin
 // (ContentType); a server that speaks it answers with that Content-Type,
 // and one that does not keeps answering JSON/NDJSON — which remains the
-// default and the debug surface. Accepts implements the server-side check.
+// default and the debug surface. Negotiate implements the server-side
+// choice, FromContentType reads the codec of a body, and request bodies
+// name their own codec in Content-Type (ReadRouteRequest).
 package wirebin
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,9 +147,12 @@ const lenReserve = 5
 // Encoder builds frames into one reusable buffer. The slice returned by an
 // Append* method aliases that buffer and is valid until the next call.
 // An Encoder is not safe for concurrent use; pool them with GetEncoder /
-// PutEncoder (one per stream or per response write).
+// PutEncoder (one per stream or per response write). It also holds the
+// JSON scratch appendJSON encodes through, so both codecs share one pool.
 type Encoder struct {
-	buf []byte
+	buf     []byte
+	json    *json.Encoder
+	jsonBuf bytes.Buffer
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
@@ -221,9 +229,6 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, 4096)}
 }
 
-// Reset points the Decoder at a new reader, keeping its buffers.
-func (d *Decoder) Reset(r io.Reader) { d.br.Reset(r) }
-
 // ReadFrame reads one complete frame and returns its type and payload (the
 // bytes after the version and type bytes, aliasing the Decoder's buffer).
 // io.EOF is returned untouched at a clean frame boundary; a frame truncated
@@ -293,16 +298,17 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-// count reads a uvarint element count and sanity-checks it against the bytes
-// that could possibly hold it (at least one byte per element), so a corrupt
-// count can never drive a huge allocation.
-func (r *reader) count() int {
+// count reads a uvarint element count and checks it against the bytes that
+// could possibly hold it — every element takes at least minSize bytes — so
+// a corrupt count can never drive a large allocation: a slice presized from
+// a count is never bigger than the frame holding its elements.
+func (r *reader) count(minSize int) int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)) {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b))
+	if n > uint64(len(r.b)/minSize) {
+		r.fail("count %d exceeds remaining %d bytes at %d bytes per element", n, len(r.b), minSize)
 		return 0
 	}
 	return int(n)
@@ -339,7 +345,7 @@ func (r *reader) str() string {
 }
 
 func (r *reader) ints() []int {
-	n := r.count()
+	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}

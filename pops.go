@@ -47,7 +47,8 @@
 // same planning surface is served over HTTP by cmd/popsserved (sharded per
 // network shape, one admission gate per shard); ServiceClient is its Go
 // client (Execute/ExecuteStream mirror the Planner methods over the wire,
-// with POST /route/stream flushing slot records as chunked NDJSON).
+// with POST /route/stream flushing slot records as chunked NDJSON or binary
+// frames).
 //
 // The facade additionally re-exports the building blocks: the slot-level
 // network simulator (Network, Schedule, Run), the Theorem 1 machinery (fair
